@@ -10,6 +10,9 @@ Measures, without pytest overhead so numbers are comparable across runs:
   re-run time for the same grid;
 * trace compilation: cold compile vs warm replay of the compiled
   reference traces (``repro.core.trace``), per app;
+* ablation: generator path vs compiled path per pair cell (the pair
+  apps and zipf at ``--scale``, plus mg/sor/zipf at scale 1.0), in
+  interleaved in-process repetitions with the spread recorded;
 * pair runs: wall-clock of a full standard+NWCache pair per app, on the
   generator path vs the warm compiled-trace path.
 
@@ -27,6 +30,7 @@ import argparse
 import json
 import math
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -275,214 +279,82 @@ def bench_pairs(
     return out
 
 
-def bench_epochs(sweeps: int = 20_000) -> dict:
-    """Epoch executor on an epoch-friendly in-core compute phase.
+#: ablation cells beyond the pair apps at ``--scale``: the paper-scale
+#: cells (scale 1.0, where long compute phases and the paper's numbers
+#: live) and the open-loop zipf pair at both sizes
+ABLATION_FULL_SCALE = (("mg", 1.0), ("sor", 1.0), ("zipf", 1.0))
 
-    Runs the synthetic ``ComputePhase`` workload (per-CPU private page
-    groups, pure cache hits after warm-up — the regime the epoch
-    executor batches) with epochs on vs off, in-process, best-of-3 after
-    a warm-up that also populates the trace and plan caches.  The two
-    runs are asserted bit-identical before timing is trusted.
+
+def _quartiles(xs):
+    """(q1, median, q3) of a sample of at least two (inclusive method)."""
+    return statistics.quantiles(xs, n=4, method="inclusive")
+
+
+def bench_ablation(scale: float, reps: int = 5) -> dict:
+    """Generator path vs compiled path, per pair cell, interleaved.
+
+    The generator path (``compiled_traces=False``) runs every wait
+    through the event queue; the compiled path replays the warm
+    compiled trace and collapses uncontended waits into clock jumps.
+    Each cell runs a warm-up pair per path (also asserted bit-identical
+    apart from the ``epoch_events_jumped`` extra), then ``reps``
+    interleaved repetitions whose order alternates, so machine-state
+    drift hits both paths alike.  Per path the median and the spread
+    ``(q3 - q1) / median`` are recorded, plus the median of the per-rep
+    ratios generator/compiled.
     """
-    from repro.apps.synth import ComputePhase
-    from repro.core.runner import run_experiment
-
-    def mk():
-        return ComputePhase(pages=64, sweeps=sweeps, think=5.0)
+    from repro.core.export import result_to_full_dict
+    from repro.core.runner import run_pair
 
     def snapshot(res):
-        d = dict(vars(res))
-        d.pop("metrics", None)  # wall-clock noise
-        # the epoch-rejection profile describes the execution strategy,
-        # not the simulated machine; it is absent with epochs off
-        d["extras"] = {
-            k: v for k, v in res.extras.items()
-            if not k.startswith("epoch_")
-        }
-        return repr(d)
+        d = result_to_full_dict(res)
+        d["extras"].pop("epoch_events_jumped", None)
+        return d
 
-    r_off = run_experiment(mk(), epoch_exec=False)  # warm + reference
-    r_on = run_experiment(mk(), epoch_exec=True)
-    if snapshot(r_off) != snapshot(r_on):
-        raise RuntimeError(
-            "epoch executor diverged from the event kernel on the "
-            "compute phase — timings would be meaningless"
-        )
-    t_off = _best_of(lambda: run_experiment(mk(), epoch_exec=False))
-    t_on = _best_of(lambda: run_experiment(mk(), epoch_exec=True))
-    wl = mk()
-    items = 8 * wl.sweeps * (wl.pages // 8)  # visits across all CPUs
+    cells = [(app, scale) for app in PAIR_APPS + ("zipf",)]
+    cells += [c for c in ABLATION_FULL_SCALE if c[1] != scale]
+    out = {}
+    for app, cell_scale in cells:
+        gen_ref = run_pair(app, data_scale=cell_scale, compiled_traces=False)
+        cmp_ref = run_pair(app, data_scale=cell_scale, compiled_traces=True)
+        if [snapshot(r) for r in gen_ref] != [snapshot(r) for r in cmp_ref]:
+            raise RuntimeError(
+                f"compiled path diverged from the generator path on the "
+                f"{app} pair at scale {cell_scale} — timings would be "
+                "meaningless"
+            )
+        times = {False: [], True: []}
+        for rep in range(reps):
+            order = (False, True) if rep % 2 == 0 else (True, False)
+            for compiled in order:
+                times[compiled].append(_timed(
+                    lambda: run_pair(app, data_scale=cell_scale,
+                                     compiled_traces=compiled)
+                ))
+        ratios = sorted(g / c for g, c in zip(times[False], times[True]))
+        events = sum(r.events_processed for r in cmp_ref)
+        jumped = sum(r.extras["epoch_events_jumped"] for r in cmp_ref)
+        entry = {"events_processed": events,
+                 "events_jumped_share": jumped / events if events else 0.0,
+                 "compiled_vs_generator": statistics.median(ratios),
+                 "compiled_vs_generator_min": ratios[0],
+                 "compiled_vs_generator_max": ratios[-1]}
+        for compiled, name in ((False, "generator"), (True, "compiled")):
+            q1, med, q3 = _quartiles(times[compiled])
+            entry[f"{name}_seconds"] = med
+            entry[f"{name}_spread"] = (q3 - q1) / med
+        out[f"{app}@{cell_scale:g}"] = entry
+        print(f"  {app:6s} @{cell_scale:<4g} generator="
+              f"{entry['generator_seconds']:.3f}s compiled="
+              f"{entry['compiled_seconds']:.3f}s "
+              f"(x{entry['compiled_vs_generator']:.2f})", file=sys.stderr)
+    ratios = [c["compiled_vs_generator"] for c in out.values()]
     return {
-        "workload": f"compute-phase pages=64 sweeps={sweeps} think=5",
-        "items": items,
-        "events_processed": r_on.events_processed,
-        "epochs_off_seconds": t_off,
-        "epochs_on_seconds": t_on,
-        "epochs_off_items_per_second": items / t_off,
-        "epochs_on_items_per_second": items / t_on,
-        "epochs_off_events_per_second": r_off.events_processed / t_off,
-        "epochs_on_events_per_second": r_on.events_processed / t_on,
-        "speedup": t_off / t_on if t_on > 0 else 0.0,
-    }
-
-
-def bench_contended(scale: float) -> dict:
-    """Contended-phase pair run: eviction-heavy zipf with a tiny window.
-
-    The zipf open-loop generator against a 4-page resident window makes
-    nearly every visit an L2 miss and keeps the swap path busy — the
-    regime the contended epoch step and the swap-path jump guards exist
-    for.  Runs the standard+NWCache pair with epochs on, in-process
-    best-of-3 after a warm-up pair that is also asserted bit-identical
-    (minus the ``epoch_*`` profile extras) against an epochs-off pair.
-    ``pairs_per_second`` is the guarded throughput figure
-    (``scripts/check_bench.py`` fails CI on a >20% drop of any
-    ``*_per_second`` leaf).
-    """
-    from repro.core.runner import experiment_config, run_experiment
-
-    cfg = experiment_config(scale, l2_resident_pages=4)
-
-    def pair(epochs):
-        std = run_experiment("zipf", "standard", "optimal",
-                             data_scale=scale, cfg=cfg, epoch_exec=epochs)
-        nwc = run_experiment("zipf", "nwcache", "optimal",
-                             data_scale=scale, cfg=cfg, epoch_exec=epochs)
-        return std, nwc
-
-    def snapshot(res):
-        d = dict(vars(res))
-        d.pop("metrics", None)
-        d["extras"] = {
-            k: v for k, v in res.extras.items()
-            if not k.startswith("epoch_")
-        }
-        return repr(d)
-
-    std_off, nwc_off = pair(False)  # warm-up + reference
-    std_on, nwc_on = pair(True)
-    if (snapshot(std_off) != snapshot(std_on)
-            or snapshot(nwc_off) != snapshot(nwc_on)):
-        raise RuntimeError(
-            "contended epoch path diverged from the event kernel on the "
-            "eviction-heavy zipf pair — timings would be meaningless"
-        )
-    # Interleave the reps (off, on, off, on, ...) so machine-state drift
-    # hits both paths alike; best-of per path like _best_of.
-    t_off = t_on = math.inf
-    for _ in range(3):
-        t_off = min(t_off, _timed(lambda: pair(False)))
-        t_on = min(t_on, _timed(lambda: pair(True)))
-    rejected = {
-        k[len("epoch_rejected_"):]: int(v)
-        for k, v in sorted(std_on.extras.items())
-        if k.startswith("epoch_rejected_") and v > 0
-    }
-
-    def both(key):
-        return int(std_on.extras.get(key, 0) + nwc_on.extras.get(key, 0))
-
-    events = std_on.events_processed + nwc_on.events_processed
-    jumped = both("epoch_events_jumped")
-    return {
-        "workload": "zipf pair, l2_resident_pages=4",
-        "events_processed": events,
-        "epochs_off_seconds": t_off,
-        "epochs_on_seconds": t_on,
-        "pairs_per_second": 1.0 / t_on if t_on > 0 else 0.0,
-        # informational: in-process on/off ratio is noisy (~1.0-1.3x);
-        # the guarded figure is pairs_per_second (named so check_bench's
-        # speedup* guard does not fail CI on ratio noise)
-        "epochs_on_vs_off": t_off / t_on if t_on > 0 else 0.0,
-        "epoch_attempted": both("epoch_attempted"),
-        "epoch_accepted": both("epoch_accepted"),
-        "events_jumped": jumped,
-        "events_jumped_fraction": jumped / events if events else 0.0,
-        "fault_jumps": both("epoch_fault_jumps"),
-        "ring_jumps": both("epoch_ring_jumps"),
-        # Why the fraction plateaus here: under steady frame pressure
-        # the pool sits at its watermark, so nearly every fault needs a
-        # replacement-daemon eviction (whose shootdown-window timeout is
-        # a queued event no jump may leap) — profiled, not guessed.
-        "fault_chains_blocked_pressure": both("epoch_fault_blocked_pressure"),
-        "fault_chains_blocked_window": both("epoch_fault_blocked_window"),
-        "std_rejected_by_reason": rejected,
-    }
-
-
-def bench_faultheavy(scale: float) -> dict:
-    """Fault-heavy cell: cold-fault-dominated zipf pair, faults enabled.
-
-    The complement of :func:`bench_contended`: one node and an
-    oversized frame pool (1 MiB) keep the replacement daemon quiet, so
-    nearly every miss is a *cold* fault whose whole resolve chain —
-    control message, controller service, bus crossings, install — is
-    provably uncontended and collapses into one batched jump sequence
-    (``Cpu._batched_fault``).  Transient disk faults are enabled so the
-    jump guards are exercised around injected damage.  Both the
-    ``events_jumped_fraction`` and ``pairs_per_second`` figures are
-    guarded by ``scripts/check_bench.py``.
-    """
-    from repro.core.runner import experiment_config, run_experiment
-
-    scale = max(scale, 0.6)  # big enough to fault through *and* to time stably
-    cfg = experiment_config(
-        scale, n_nodes=1, n_io_nodes=1, memory_per_node=1048576,
-    )
-    faults = "disk_transient_rate=0.01"
-
-    def pair(epochs):
-        std = run_experiment(
-            "zipf", "standard", "optimal", data_scale=scale, cfg=cfg,
-            faults=faults, epoch_exec=epochs,
-        )
-        nwc = run_experiment(
-            "zipf", "nwcache", "optimal", data_scale=scale, cfg=cfg,
-            faults=faults, epoch_exec=epochs,
-        )
-        return std, nwc
-
-    def snapshot(res):
-        d = dict(vars(res))
-        d.pop("metrics", None)
-        d["extras"] = {
-            k: v for k, v in res.extras.items()
-            if not k.startswith("epoch_")
-        }
-        return repr(d)
-
-    std_off, nwc_off = pair(False)  # warm-up + reference
-    std_on, nwc_on = pair(True)
-    if (snapshot(std_off) != snapshot(std_on)
-            or snapshot(nwc_off) != snapshot(nwc_on)):
-        raise RuntimeError(
-            "batched fault pipeline diverged from the event kernel on "
-            "the fault-heavy zipf pair — timings would be meaningless"
-        )
-    # the cell is tiny (~0.05 s): best-of-7 keeps the min stable enough
-    # for the 20% CI guard on pairs_per_second
-    t_on = math.inf
-    for _ in range(7):
-        t_on = min(t_on, _timed(lambda: pair(True)))
-
-    def both(key):
-        return int(std_on.extras.get(key, 0) + nwc_on.extras.get(key, 0))
-
-    events = std_on.events_processed + nwc_on.events_processed
-    jumped = both("epoch_events_jumped")
-    return {
-        "workload": (
-            "zipf pair, 1 node, 1 MiB frames, disk_transient_rate=0.01"
+        "reps": reps,
+        "cells": out,
+        "speedup_geomean_compiled_vs_generator": math.exp(
+            sum(math.log(r) for r in ratios) / len(ratios)
         ),
-        "events_processed": events,
-        "wall_seconds": t_on,
-        "pairs_per_second": 1.0 / t_on if t_on > 0 else 0.0,
-        "events_jumped": jumped,
-        "events_jumped_fraction": jumped / events if events else 0.0,
-        "fault_jumps": both("epoch_fault_jumps"),
-        "ring_jumps": both("epoch_ring_jumps"),
-        "fault_chains_blocked_pressure": both("epoch_fault_blocked_pressure"),
-        "fault_chains_blocked_window": both("epoch_fault_blocked_window"),
     }
 
 
@@ -515,8 +387,8 @@ def bench_openloop(scale: float) -> dict:
 
 
 #: measurable report sections, in run order
-SECTIONS = ("kernel", "cell", "grid", "trace", "epoch", "contended",
-            "faultheavy", "openloop", "pair")
+SECTIONS = ("kernel", "cell", "grid", "trace", "ablation", "openloop",
+            "pair")
 
 
 def main() -> int:
@@ -582,18 +454,10 @@ def main() -> int:
         print("benchmarking trace compilation (cold vs warm) ...",
               file=sys.stderr)
         report["trace"] = bench_traces(args.scale)
-    if want("epoch"):
-        print("benchmarking epoch execution (compute phase, on vs off) ...",
-              file=sys.stderr)
-        report["epoch"] = bench_epochs()
-    if want("contended"):
-        print("benchmarking contended phase (eviction-heavy zipf pair, "
-              "epochs on vs off) ...", file=sys.stderr)
-        report["contended"] = bench_contended(args.scale)
-    if want("faultheavy"):
-        print("benchmarking fault-heavy pair (cold faults, batched "
-              "pipelines) ...", file=sys.stderr)
-        report["faultheavy"] = bench_faultheavy(args.scale)
+    if want("ablation"):
+        print("benchmarking generator vs compiled path (interleaved "
+              "pairs) ...", file=sys.stderr)
+        report["ablation"] = bench_ablation(args.scale)
     if want("openloop"):
         print("benchmarking open-loop pair (zipf) ...", file=sys.stderr)
         report["openloop"] = bench_openloop(args.scale)
@@ -628,22 +492,10 @@ def main() -> int:
             print("grid parallel      : skipped (single CPU)")
         print(f"grid warm cache    : {g['warm_cache_seconds']:.3f}s "
               f"({g['warm_cache_fraction_of_serial']:.1%} of serial)")
-    if "epoch" in report:
-        e = report["epoch"]
-        print(f"epoch phase        : {e['speedup']:.1f}x "
-              f"({e['epochs_off_seconds']:.2f}s -> {e['epochs_on_seconds']:.2f}s, "
-              f"{e['epochs_on_items_per_second']:,.0f} items/s)")
-    if "contended" in report:
-        c = report["contended"]
-        print(f"contended phase    : {c['epochs_on_vs_off']:.2f}x "
-              f"({c['epochs_off_seconds']:.2f}s -> "
-              f"{c['epochs_on_seconds']:.2f}s, "
-              f"{c['epoch_accepted']}/{c['epoch_attempted']} epochs)")
-    if "faultheavy" in report:
-        f = report["faultheavy"]
-        print(f"fault-heavy phase  : {f['events_jumped_fraction']:.0%} of "
-              f"{f['events_processed']:,} events jumped "
-              f"({f['fault_jumps']} batched fault chains)")
+    if "ablation" in report:
+        print("compiled/generator : x"
+              f"{report['ablation']['speedup_geomean_compiled_vs_generator']:.2f}"
+              " geomean over interleaved pairs")
     if "openloop" in report:
         o = report["openloop"]
         print(f"open-loop pair     : {o['requests_per_second']:,.0f} req/s "

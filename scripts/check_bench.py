@@ -26,18 +26,19 @@ import sys
 from pathlib import Path
 
 #: hard floors for pair.apps.<app>.speedup_vs_baseline_generator —
-#: absolute, not relative to the committed report.  The swap-dominated
-#: apps sit below 1.0 by design: their pair time is dominated by the
-#: evented swap path, where the epoch executor's speculative jump
-#: attempts mostly fail and cost more than the avoided events save
-#: (profiled on gauss: epochs-off replay is ~16% faster).  The floors
-#: pin today's measured values minus noise headroom so the known gap
-#: cannot quietly widen.
+#: absolute, not relative to the committed report.  These are the
+#: swap-dominated apps whose pairs ran below 1.0 (0.72-0.81) while the
+#: deleted epoch executor made speculative jump attempts.  Each floor is
+#: 90% of the lower of two measurements taken for the committed record:
+#: the figure in the record itself (em3d 1.11, gauss 0.83, radix 1.00,
+#: mg 0.98) and the app's lowest within-run warm-vs-generator ratio
+#: across the pair and ablation sections (em3d 0.99, gauss 0.99, radix
+#: 1.09, mg 1.08).
 PAIR_FLOORS = {
-    "em3d": 0.78,
-    "gauss": 0.72,
-    "radix": 0.76,
-    "mg": 0.81,
+    "em3d": 0.89,
+    "gauss": 0.75,
+    "radix": 0.90,
+    "mg": 0.88,
 }
 
 

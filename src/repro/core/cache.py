@@ -50,7 +50,9 @@ from repro.ioutil import atomic_write_bytes
 #: ``Metrics.faults`` accounting (old pickles lack both).
 #: v4: ``epoch_*`` profiler extras on epoch-executed results (old
 #: pickles lack the rejection counters).
-CACHE_FORMAT_VERSION = 4
+#: v5: ``ring_stored_peak`` is a real high-water mark (it was the
+#: end-of-run occupancy) and the epoch profiler extras are gone.
+CACHE_FORMAT_VERSION = 5
 
 #: name of the quarantine directory inside a cache root
 CORRUPT_DIR = "corrupt"

@@ -228,43 +228,6 @@ def fault_section(res: RunResult) -> str:
     )
 
 
-# ------------------------------------------------------------- epoch report
-def epoch_section(res: RunResult) -> str:
-    """Epoch-rejection profile for one run (empty string when the epoch
-    executor did not run).
-
-    Rows come from the ``epoch_*`` extras: how many candidate epochs
-    the executor attempted, how many it accepted (and their total item
-    and batch counts), and the rejections broken down by taxonomy
-    reason — window miss, TLB cap, shared/dirty page, contended pipe,
-    fault boundary.  Zero-count reasons are omitted.
-    """
-    extras = res.extras
-    if "epoch_attempted" not in extras:
-        return ""
-    rows = [
-        ["attempted", f"{extras['epoch_attempted']:.0f}"],
-        ["accepted", f"{extras['epoch_accepted']:.0f}"],
-        ["rejected", f"{extras['epoch_rejected']:.0f}"],
-        ["items batched", f"{extras['epoch_items']:.0f}"],
-        ["batches", f"{extras['epoch_batches']:.0f}"],
-    ]
-    if "epoch_events_jumped" in extras:
-        rows.append(
-            ["events jumped", f"{extras['epoch_events_jumped']:.0f}"]
-        )
-    prefix = "epoch_rejected_"
-    for key in sorted(extras):
-        if key.startswith(prefix) and extras[key] > 0:
-            reason = key[len(prefix):].replace("_", " ")
-            rows.append([f"  rejected: {reason}", f"{extras[key]:.0f}"])
-    return render_table(
-        f"Epoch profile: {res.app} on {res.system}/{res.prefetch}",
-        ["quantity", "count"],
-        rows,
-    )
-
-
 # ---------------------------------------------------------- open-loop report
 def openloop_section(res: RunResult) -> str:
     """Open-loop accounting for one run (empty string for kernels).

@@ -109,7 +109,6 @@ def run_experiment(
     drain_policy: str = "most-loaded",
     audit: Optional[bool] = None,
     compiled_traces: Optional[bool] = None,
-    epoch_exec: Optional[bool] = None,
     faults: Any = None,
     **app_params: Any,
 ) -> RunResult:
@@ -140,11 +139,6 @@ def run_experiment(
         (:mod:`repro.core.trace`) instead of live driver generators.
         Trajectory-neutral; ``None`` defers to the
         ``NWCACHE_COMPILED_TRACES`` environment default (on).
-    epoch_exec:
-        Vectorized epoch execution of compiled traces
-        (:meth:`~repro.hw.cpu.Cpu.run_epochs`).  Trajectory-neutral;
-        ``None`` defers to the ``NWCACHE_EPOCH_EXEC`` environment
-        default (on).  Only takes effect on the compiled-trace path.
     faults:
         Fault-injection plan: a :class:`~repro.sim.faults.FaultPlan`, a
         spec string (see :func:`~repro.sim.faults.parse_fault_spec`), or
@@ -187,7 +181,6 @@ def run_experiment(
         prefetch=prefetch,
         drain_policy=drain_policy,
         compiled_traces=compiled_traces,
-        epoch_exec=epoch_exec,
     )
     return machine.run(workload)
 

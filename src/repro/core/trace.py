@@ -9,19 +9,13 @@ the access stream, not in how it is produced — so this module compiles a
 array-backed per-processor traces and replays them on every subsequent
 run.
 
-A :class:`CompiledTrace` stores six parallel columns per processor:
+A :class:`CompiledTrace` stores five parallel columns per processor:
 
 * ``kind``   — ``KIND_VISIT`` or ``KIND_BARRIER`` (uint8);
 * ``page``   — app-local page id for visits, barrier-key index for
   barriers (int64; barriers are encoded inline, in stream order);
 * ``reads`` / ``writes`` — access counts (int64);
-* ``think``  — pure-compute cycles (float64);
-* ``reuse``  — per-visit *reuse distance*: how many distinct other pages
-  this processor visited since its previous visit to the same page
-  (:data:`REUSE_COLD` on a first touch, ``-1`` for barriers).  Derived
-  purely from the stream, so it is machine-independent and cacheable;
-  the epoch executor compares it against the machine's resident-page
-  window at run time to mark candidate epoch boundaries.
+* ``think``  — pure-compute cycles (float64).
 
 Barrier keys (arbitrary hashables such as ``("sor", 3)``) are interned
 into :attr:`CompiledTrace.barrier_keys` and referenced by index.  Pages
@@ -76,13 +70,10 @@ from repro.sim.rng import RngRegistry
 #: Bump when a driver change alters the streams compiled from identical
 #: workload parameters (the key covers inputs, not driver code).
 #: v2: checksummed on-disk envelope (see repro.core.cache).
-#: v3: ``reuse`` column (per-visit distinct-page reuse distance) feeding
-#: the epoch executor's boundary markers; v2 files are quarantined and
-#: recompiled on first load.
-TRACE_FORMAT_VERSION = 3
-
-#: ``reuse`` value for a first touch (farther than any finite window)
-REUSE_COLD = 2 ** 62
+#: v3: ``reuse`` column (per-visit distinct-page reuse distance).
+#: v4: the ``reuse`` column is gone again; older files are quarantined
+#: and recompiled on first load.
+TRACE_FORMAT_VERSION = 4
 
 _TRACE_MAGIC = "nwcache-trace"
 
@@ -109,7 +100,6 @@ class CompiledTrace:
     reads: List[np.ndarray]           #: int64 read counts
     writes: List[np.ndarray]          #: int64 write counts
     thinks: List[np.ndarray]          #: float64 think cycles
-    reuse: List[np.ndarray]           #: int64 reuse distances (see below)
     barrier_keys: List[Any] = field(default_factory=list)
     version: int = TRACE_FORMAT_VERSION
 
@@ -141,82 +131,10 @@ class CompiledTrace:
         return cols
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Never pickle the derived caches: the decoded columns can dwarf
-        # the arrays, and epoch plans depend on machine parameters.
+        # Never pickle the decoded-column cache: it can dwarf the arrays.
         state = self.__dict__.copy()
         state.pop("_columns", None)
-        state.pop("_plans", None)
         return state
-
-    def epoch_plan(self, proc: int, window: int, cpa: float) -> "EpochPlan":
-        """Processor ``proc``'s epoch plan for a machine whose resident
-        window holds ``window`` pages at ``cpa`` cycles per access.
-
-        The plan marks every item that could end an epoch — barriers, and
-        visits whose reuse distance reaches the window (statically a
-        cache miss, hence bus traffic) — and precomputes the per-item
-        busy+think cost vector the executor integrates.  Static markers
-        are a *filter*, not the truth: runtime residency validation in
-        the executor still decides what actually runs vectorized.
-        Cached per (proc, window, cpa): a standard/NWCache pair or a
-        sweep at fixed machine parameters pays the scan once.
-        """
-        plans = self.__dict__.setdefault("_plans", {})
-        key = (proc, int(window), float(cpa))
-        plan = plans.get(key)
-        if plan is None:
-            kinds = self.kinds[proc]
-            n = len(kinds)
-            boundary = (kinds != KIND_VISIT) | (self.reuse[proc] >= window)
-            # next_boundary[i] = first index >= i that is a boundary (n if
-            # none): a reversed running minimum over marked positions.
-            idx = np.arange(n)
-            marked = np.where(boundary, idx, n)
-            next_boundary = np.minimum.accumulate(marked[::-1])[::-1]
-            # Hard boundaries ignore the window heuristic: only non-visit
-            # items (barriers) end a *contended* epoch, which batches
-            # window misses too and stops on live page-table state
-            # instead of static reuse.
-            hard_marked = np.where(kinds != KIND_VISIT, idx, n)
-            next_hard = np.minimum.accumulate(hard_marked[::-1])[::-1]
-            n_access = self.reads[proc] + self.writes[proc]
-            busy_think = n_access * cpa + self.thinks[proc]
-            is_write = self.writes[proc] > 0
-            max_run = int((next_boundary - idx).max()) if n else 0
-            max_hard_run = int((next_hard - idx).max()) if n else 0
-            plan = plans[key] = EpochPlan(
-                next_boundary=next_boundary,
-                busy_think=busy_think,
-                # Global prefix sums of busy_think: busy_cum[k] is the
-                # cost of items [0, k).  Used to *estimate* where an
-                # epoch will cross the flush quantum (bounding the scan),
-                # never to replace the executor's exact local chain.
-                busy_cum=np.concatenate(
-                    ((0.0,), np.cumsum(busy_think))
-                ),
-                pages=self.pages[proc],
-                is_write=is_write,
-                # Prefix counts of write items: write_cum[k] writes in
-                # items [0, k).  A run with no writes needs no dirty-bit
-                # marking at all, which the executor detects with two
-                # lookups instead of a scan (read-only-sharing epochs).
-                write_cum=np.concatenate(
-                    ((0,), np.cumsum(is_write.astype(np.int64)))
-                ),
-                # Plain-list mirrors: the executor's validation and
-                # commit loops walk items one by one with early exits,
-                # where list indexing (no scalar boxing) is much cheaper
-                # than ndarray indexing.  Paid once per plan.
-                pages_list=self.pages[proc].tolist(),
-                busy_list=busy_think.tolist(),
-                write_list=is_write.tolist(),
-                boundary_list=next_boundary.tolist(),
-                hard_list=next_hard.tolist(),
-                naccess_list=n_access.tolist(),
-                max_run=max_run,
-                max_hard_run=max_hard_run,
-            )
-        return plan
 
     def items(self, proc: int, page_base: int = 0) -> Iterator[Item]:
         """Decode processor ``proc``'s stream back into driver items.
@@ -239,90 +157,9 @@ class CompiledTrace:
         return sum(
             a.nbytes
             for cols in (self.kinds, self.pages, self.reads, self.writes,
-                         self.thinks, self.reuse)
+                         self.thinks)
             for a in cols
         )
-
-
-@dataclass
-class EpochPlan:
-    """Derived per-processor arrays the epoch executor runs from.
-
-    Built (and cached) by :meth:`CompiledTrace.epoch_plan`; never
-    pickled.  ``next_boundary[i]`` is the first index at or after ``i``
-    whose item cannot belong to an epoch under the given window —
-    everything in ``[i, next_boundary[i])`` is a *candidate* run of
-    statically-hitting visits.
-    """
-
-    next_boundary: np.ndarray   #: int64, len n
-    busy_think: np.ndarray      #: float64 per-item busy + think cycles
-    busy_cum: np.ndarray        #: float64 prefix sums, len n + 1
-    pages: np.ndarray           #: int64 app-local page ids (alias)
-    is_write: np.ndarray        #: bool, True where writes > 0
-    write_cum: np.ndarray       #: int64 prefix counts of writes, len n + 1
-    pages_list: list            #: ``pages.tolist()`` (fast scalar access)
-    busy_list: list             #: ``busy_think.tolist()``
-    write_list: list            #: ``is_write.tolist()``
-    boundary_list: list         #: ``next_boundary.tolist()``
-    hard_list: list             #: next non-visit index at or after ``i``
-    naccess_list: list          #: per-item ``reads + writes``
-    max_run: int                #: longest candidate run in the stream
-    max_hard_run: int           #: longest barrier-free run in the stream
-
-
-def reuse_distances(kinds: np.ndarray, pages: np.ndarray) -> np.ndarray:
-    """Per-visit distinct-page reuse distances for one processor stream.
-
-    For each visit, counts the distinct pages visited strictly between
-    this item and the same page's previous visit (:data:`REUSE_COLD` on a
-    first touch; ``-1`` for non-visit items).  A visit statically hits an
-    LRU window of ``W`` pages iff its distance is ``< W`` — barring
-    invalidations, which only the runtime can see.
-
-    Classic one-pass stack-distance algorithm: keep a mark at each page's
-    most recent position; the distance is the number of marks strictly
-    between the previous and current positions, maintained in a Fenwick
-    tree (O(n log n) at compile time, cached on disk with the trace).
-    """
-    n = len(kinds)
-    out = np.full(n, -1, dtype=np.int64)
-    tree = [0] * (n + 1)
-    kind_l = kinds.tolist()
-    page_l = pages.tolist()
-    out_l = [-1] * n
-    last: Dict[int, int] = {}
-    for i in range(n):
-        if kind_l[i] != KIND_VISIT:
-            continue
-        p = page_l[i]
-        j = last.get(p)
-        if j is None:
-            out_l[i] = REUSE_COLD
-        else:
-            # marks in (j, i) = prefix(i) - prefix(j + 1)
-            d = 0
-            k = i
-            while k > 0:
-                d += tree[k]
-                k -= k & -k
-            k = j + 1
-            while k > 0:
-                d -= tree[k]
-                k -= k & -k
-            out_l[i] = d
-            # the mark at j moves to i
-            k = j + 1
-            while k <= n:
-                tree[k] -= 1
-                k += k & -k
-        k = i + 1
-        while k <= n:
-            tree[k] += 1
-            k += k & -k
-        last[p] = i
-    out[:] = out_l
-    return out
 
 
 def workload_fingerprint(workload: Workload) -> Dict[str, Any]:
@@ -410,7 +247,6 @@ def compile_workload(
         reads.append(np.asarray(r, dtype=np.int64))
         writes.append(np.asarray(w, dtype=np.int64))
         thinks.append(np.asarray(t, dtype=np.float64))
-    reuse = [reuse_distances(k, p) for k, p in zip(kinds, pages)]
     return CompiledTrace(
         app=workload.name,
         n_nodes=n_nodes,
@@ -422,7 +258,6 @@ def compile_workload(
         reads=reads,
         writes=writes,
         thinks=thinks,
-        reuse=reuse,
         barrier_keys=barrier_keys,
     )
 

@@ -16,106 +16,29 @@ the buffer exceeds ``FLUSH_QUANTUM_PCYCLES``.  This keeps hot loops at
 zero events per visit while preserving the ordering of all contended
 interactions, and guarantees that the per-category time account sums to
 the processor's execution time.
+
+There are two execution paths with identical trajectories:
+:meth:`Cpu.run` walks a driver's item generator through the evented
+kernel and is the reference the identity tests compare against;
+:meth:`Cpu.run_compiled` replays a compiled trace's columns with the
+per-item work inlined and every uncontended wait collapsed into a clock
+jump.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_right
 from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.config import SimConfig
-from repro.disk.controller import PrefetchMode
 from repro.hw.accounting import CATEGORIES, TimeAccount
-from repro.hw.cache import BLOCK_BYTES, CacheModel
+from repro.hw.cache import CacheModel
 from repro.hw.network import MeshNetwork
-from repro.osim.pagetable import PageState
 from repro.osim.sync import BarrierRegistry
 from repro.sim import BandwidthPipe, Counter, Engine
 from repro.sim.events import Event, Timeout
 
 #: pending time is flushed at least this often (pcycles)
 FLUSH_QUANTUM_PCYCLES = 20_000.0
-
-#: shortest candidate run the epoch executor will batch — below this the
-#: fixed per-epoch overhead loses to the per-item loop
-MIN_EPOCH_ITEMS = 12
-
-def _vector_min_items() -> int:
-    """The scalar/NumPy crossover, tunable via ``NWCACHE_EPOCH_MIN_ITEMS``.
-
-    Values below 1 (or garbage) fall back to the built-in default; the
-    knob only moves the crossover between two bit-identical arms, so any
-    setting is safe — it is a tuning lever, not a semantic switch.
-    """
-    raw = os.environ.get("NWCACHE_EPOCH_MIN_ITEMS", "")
-    try:
-        v = int(raw)
-    except ValueError:
-        return 128
-    return v if v >= 1 else 128
-
-
-#: epochs at least this long take the vectorized NumPy arms inside
-#: ``Cpu._epoch_step`` (same arithmetic, array-at-a-time); shorter
-#: epochs keep the scalar loops, which win under ~100 items
-EPOCH_VECTOR_MIN_ITEMS = _vector_min_items()
-
-#: longest run examined per epoch attempt, bounding per-attempt array
-#: work (a longer run simply takes several epochs)
-MAX_EPOCH_ITEMS = 8192
-
-#: why epoch attempts stop short — the rejection-profiler taxonomy
-#: (surfaced per run in ``RunResult.extras`` as ``epoch_rejected_*``):
-#:
-#: * ``window_miss``   — a page fell out of this CPU's resident window
-#:   and the contended step was not applicable (static plan gutted)
-#: * ``tlb_cap``       — the run's distinct pages overflow the TLB, so
-#:   the first-occurrence replay proof no longer holds
-#: * ``shared_dirty``  — the page is in motion with a payload another
-#:   processor must not lose: INFLIGHT (being fetched elsewhere) or
-#:   SWAPPING with the dirty bit set — genuine write-sharing traffic
-#: * ``shared_clean``  — the page is SWAPPING but *clean*: read-only
-#:   sharing caught mid-eviction.  The refault must still wait out the
-#:   eviction's queued shootdown-window timeout (a real queued event),
-#:   so the step cannot jump it — but the split keeps clean sharing
-#:   from being misread as write interference in the profile
-#: * ``ring_transit``  — the page is circulating on the optical ring
-#:   and the batched ring-snoop chain could not claim/prove it
-#: * ``contended_pipe``— a required clock jump would be refused (queued
-#:   events before the target, bus/mesh occupied, or run-limit/horizon)
-#: * ``fault_boundary``— the page is ABSENT and the batched fault chain
-#:   could not be proven: the fault runs through the evented slow path
-EPOCH_REJECT_REASONS = (
-    "window_miss",
-    "tlb_cap",
-    "shared_dirty",
-    "shared_clean",
-    "ring_transit",
-    "contended_pipe",
-    "fault_boundary",
-)
-
-
-def _reject_reason(entry: Any, st: Any) -> str:
-    """Classify a not-plainly-usable page against live table state.
-
-    ``st`` is ``entry.state`` (passed in because every caller already
-    has it).  MEMORY means the page was fine in the table but missed the
-    resident window; the in-motion states split on the live dirty bit so
-    the profiler separates write interference from read-only sharing.
-    """
-    if st is PageState.MEMORY:
-        return "window_miss"
-    if st is PageState.ABSENT:
-        return "fault_boundary"
-    if st is PageState.RING:
-        return "ring_transit"
-    if st is PageState.INFLIGHT or entry.dirty:
-        return "shared_dirty"
-    return "shared_clean"
 
 #: stream item types
 Item = Tuple[Any, ...]
@@ -151,28 +74,6 @@ class Cpu:
         self._stolen_sum = 0.0  #: running total of self._stolen
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: epoch-executor diagnostics (profiling only — surfaced in
-        #: ``RunResult.extras`` when epochs ran, absent otherwise, and
-        #: excluded from every bit-identity comparison)
-        self.epoch_items = 0
-        self.epoch_batches = 0
-        self.epoch_attempted = 0
-        self.epoch_accepted = 0
-        self.epoch_rejects: Dict[str, int] = {}
-        #: faults resolved as one batched jump chain inside a contended
-        #: step (disk fetch / ring snoop), instead of the evented cascade
-        self.epoch_fault_jumps = 0
-        self.epoch_ring_jumps = 0
-        #: batched fault/ring chains refused because the frame pool was
-        #: under pressure (empty, at the low watermark, or leaving a
-        #: deficit for the armed replacement daemon) — the genuinely
-        #: unbatchable eviction regime
-        self.epoch_fault_blocked_pressure = 0
-        #: batched fault/ring chains refused because another event or
-        #: transfer occupied the chain's jump window (busy pipe or link,
-        #: pending settle, queued event before the final target)
-        self.epoch_fault_blocked_window = 0
-        self._epoch_skip = 0
 
     # -- lazy time ---------------------------------------------------------
     def add_pending(self, category: str, cycles: float) -> None:
@@ -191,26 +92,39 @@ class Cpu:
         # flush, so float drift cannot accumulate across quanta.
         return self._pending_sum
 
+    def _fold_stolen(self) -> None:
+        """Move the cycles shootdowns stole into the pending buffer.
+
+        Called only when ``_stolen_sum`` is nonzero, i.e. when a
+        shootdown actually charged this CPU since the last flush.
+        """
+        pending = self._pending
+        stolen = self._stolen
+        for cat, v in stolen.items():
+            if v:
+                pending[cat] += v
+                self._pending_sum += v
+                stolen[cat] = 0.0
+        self._stolen_sum = 0.0
+
+    def _drain_pending(self) -> None:
+        """Charge the just-materialized pending time to its categories."""
+        times = self.acct.times
+        pending = self._pending
+        for cat, v in pending.items():
+            if v:
+                times[cat] += v
+                pending[cat] = 0.0
+        self._pending_sum = 0.0
+
     def _flush(self) -> Generator[Event, Any, None]:
         """Materialize pending time as one timeout and charge categories."""
         if self._stolen_sum:
-            # Only walk the stolen dict when a shootdown actually charged
-            # us since the last flush — this runs once per flush.
-            for cat, v in self._stolen.items():
-                if v:
-                    self._pending[cat] += v
-                    self._pending_sum += v
-                    self._stolen[cat] = 0.0
-            self._stolen_sum = 0.0
+            self._fold_stolen()
         total = self._pending_sum
         if total > 0.0:
             yield Timeout(self.engine, total)
-            for cat in CATEGORIES:
-                v = self._pending[cat]
-                if v:
-                    self.acct.charge(cat, v)
-                    self._pending[cat] = 0.0
-            self._pending_sum = 0.0
+            self._drain_pending()
 
     # -- execution ---------------------------------------------------------
     def run(self, stream: Iterable[Item]) -> Generator[Event, Any, None]:
@@ -237,14 +151,24 @@ class Cpu:
     ) -> Generator[Event, Any, None]:
         """Trace-fed fast path: execute a compiled trace's arrays directly.
 
-        Semantically identical to :meth:`run` over the decoded item
-        stream — same yields in the same order, same charges, same final
-        counters — but with the per-item work inlined: no driver
-        generator to resume, no ``_visit`` sub-generator per item, no
-        per-item counter updates (visit/barrier stats are accumulated in
-        locals and added once at the end; nothing observes them mid-run).
-        The ``self._pending`` dict is still updated item by item, because
-        the audit invariants inspect it between events.
+        Trajectory-identical to :meth:`run` over the decoded item stream
+        — same clock, same charges, same event count, same final
+        counters; the golden traces, the differential oracle and the
+        compiled-vs-generator property suite pin this — but with the
+        per-item work inlined: no driver generator to resume, no
+        ``_visit`` sub-generator per item, no per-item counter updates
+        (visit/barrier stats are accumulated in locals and added once at
+        the end; nothing observes them mid-run).  The ``self._pending``
+        dict is still updated item by item, because the audit invariants
+        inspect it between events.
+
+        Every wait first attempts an uncontended clock jump
+        (``Engine.try_jump``, ``BandwidthPipe.try_jump_transfer``,
+        ``MeshNetwork.try_jump_transfer``) and schedules real events only
+        when the jump is refused.  A jump succeeds only when no queued
+        event falls at or before its target, so it consumes exactly the
+        clock advance, event ids and event count the evented wait would
+        have: nothing else could have run in between.
         """
         from repro.core.trace import KIND_VISIT
 
@@ -255,6 +179,12 @@ class Cpu:
         kinds, page_col, read_col, write_col, think_col = trace.columns(proc)
         barrier_keys = trace.barrier_keys
         engine = self.engine
+        try_jump = engine.try_jump
+        # Fast-refuse guard for the flush jumps below: when the next
+        # queued event is due at or before the jump target, try_jump can
+        # only say no — skip the call.  (try_jump itself re-checks this
+        # plus the run-limit and multi-dispatch conditions.)
+        equeue = engine._queue
         vm = self.vm
         fast_access = vm.fast_access
         resolve = vm.resolve
@@ -262,9 +192,9 @@ class Cpu:
         barrier_get = self.barriers.get
         acct = self.acct
         acct_charge = acct.charge
-        acct_times = acct.times
         pending = self._pending
-        stolen = self._stolen
+        fold_stolen = self._fold_stolen
+        drain = self._drain_pending
         mem_buses = self.mem_buses
         network = self.network
         net_route_cache = network._route_cache
@@ -272,12 +202,12 @@ class Cpu:
         node = self.node
         remote_latency = self.cfg.remote_latency_pcycles
         n_visits = n_slow = n_remote = n_barriers = 0
-        # The ``_flush()`` blocks below are :meth:`_flush`, inlined: a
-        # flush precedes every contended interaction, so delegating to the
-        # sub-generator (one allocation + double dispatch per flush) was a
-        # measurable share of the per-item cost.  The logic and float
-        # arithmetic are identical; ``self._pending_sum`` and the dicts
-        # stay current at every yield for the audit invariants.
+        # The four flush blocks below are :meth:`_flush`, inlined and
+        # jump-first: a flush precedes every contended interaction, so
+        # delegating to the sub-generator (one allocation + double
+        # dispatch per flush) was a measurable share of the per-item
+        # cost.  ``self._pending_sum`` and the dicts stay current at
+        # every yield for the audit invariants.
         #
         # zip instead of indexing: one tuple unpack per item replaces five
         # list subscripts (for barriers, ``pg`` carries the key index).
@@ -291,21 +221,15 @@ class Cpu:
                 home = fast_access(node, page, is_write)
                 if home is None:
                     # Page fault (or wait on a page in motion): slow path.
-                    if self._stolen_sum:  # _flush(), inlined
-                        for cat, sv in stolen.items():
-                            if sv:
-                                pending[cat] += sv
-                                self._pending_sum += sv
-                                stolen[cat] = 0.0
-                        self._stolen_sum = 0.0
+                    if self._stolen_sum:
+                        fold_stolen()
                     total = self._pending_sum
                     if total > 0.0:
-                        yield Timeout(engine, total)
-                        for cat, pv in pending.items():
-                            if pv:
-                                acct_times[cat] += pv
-                                pending[cat] = 0.0
-                        self._pending_sum = 0.0
+                        if (
+                            equeue and equeue[0][0] <= engine._now + total
+                        ) or not try_jump(total, 1):
+                            yield Timeout(engine, total)
+                        drain()
                     home = yield from resolve(node, page, is_write, acct)
                     n_slow += 1
                 busy, miss_bytes = cache_visit(page, n_reads + n_writes)
@@ -313,298 +237,21 @@ class Cpu:
                 pending["other"] += v
                 self._pending_sum += v
                 if miss_bytes:
-                    if self._stolen_sum:  # _flush(), inlined
-                        for cat, sv in stolen.items():
-                            if sv:
-                                pending[cat] += sv
-                                self._pending_sum += sv
-                                stolen[cat] = 0.0
-                        self._stolen_sum = 0.0
-                    total = self._pending_sum
-                    if total > 0.0:
-                        yield Timeout(engine, total)
-                        for cat, pv in pending.items():
-                            if pv:
-                                acct_times[cat] += pv
-                                pending[cat] = 0.0
-                        self._pending_sum = 0.0
-                    t0 = engine._now
-                    # BandwidthPipe.transfer, inlined: the same request /
-                    # timeout / release sequence without allocating a
-                    # delegate generator per miss (identical events).
-                    bus = mem_buses[home]
-                    req = bus._server.request(0)
-                    yield req
-                    try:
-                        yield Timeout(
-                            engine, bus.overhead + miss_bytes / bus.rate
-                        )
-                        bus.bytes_transferred += miss_bytes
-                    finally:
-                        bus._server.release(req)
-                    if home != node:
-                        # MeshNetwork.transfer, inlined likewise (home !=
-                        # node, so the route always has links to hold).
-                        t0n = engine._now
-                        ent = net_route_cache.get((home, node))
-                        if ent is None:
-                            ent = network._route_entry(home, node)
-                        links, fixed, _h = ent
-                        requests = []
-                        try:
-                            for res in links:
-                                nreq = res.request(0)
-                                requests.append(nreq)
-                                yield nreq
-                            yield Timeout(
-                                engine, fixed + miss_bytes / net_link_rate
-                            )
-                        finally:
-                            for res, nreq in zip(links, requests):
-                                res.release(nreq)
-                        network.bytes_sent += miss_bytes
-                        network.latency.record(engine._now - t0n)
-                        yield Timeout(engine, remote_latency)
-                        n_remote += 1
-                    acct_charge("other", engine._now - t0)
-                if self._pending_sum >= FLUSH_QUANTUM_PCYCLES:
-                    if self._stolen_sum:  # _flush(), inlined
-                        for cat, sv in stolen.items():
-                            if sv:
-                                pending[cat] += sv
-                                self._pending_sum += sv
-                                stolen[cat] = 0.0
-                        self._stolen_sum = 0.0
-                    total = self._pending_sum
-                    if total > 0.0:
-                        yield Timeout(engine, total)
-                        for cat, pv in pending.items():
-                            if pv:
-                                acct_times[cat] += pv
-                                pending[cat] = 0.0
-                        self._pending_sum = 0.0
-            else:
-                if self._stolen_sum:  # _flush(), inlined
-                    for cat, sv in stolen.items():
-                        if sv:
-                            pending[cat] += sv
-                            self._pending_sum += sv
-                            stolen[cat] = 0.0
-                    self._stolen_sum = 0.0
-                total = self._pending_sum
-                if total > 0.0:
-                    yield Timeout(engine, total)
-                    for cat, pv in pending.items():
-                        if pv:
-                            acct_times[cat] += pv
-                            pending[cat] = 0.0
-                    self._pending_sum = 0.0
-                t0 = engine._now
-                yield barrier_get(barrier_keys[pg]).wait()
-                acct_charge("other", engine._now - t0)
-                n_barriers += 1
-        yield from self._flush()
-        self.finished_at = engine.now
-        stats = self.stats
-        if n_visits:
-            stats.add("visits", n_visits)
-        if n_slow:
-            stats.add("slow_accesses", n_slow)
-        if n_remote:
-            stats.add("remote_fetches", n_remote)
-        if n_barriers:
-            stats.add("barriers", n_barriers)
-
-    def run_epochs(
-        self, trace: Any, proc: int, page_base: int
-    ) -> Generator[Event, Any, None]:
-        """Epoch-accelerated replay of a compiled trace.
-
-        Trajectory-identical to :meth:`run_compiled` — the golden traces,
-        the differential oracle, and the epoch equivalence suites pin
-        this — but maximal runs of visits that provably cannot interact
-        with the rest of the machine are executed as single vectorized
-        steps (:meth:`_epoch_step`), and the evented waits that remain
-        first attempt an uncontended clock jump (``Engine.try_jump``,
-        ``BandwidthPipe.try_jump_transfer``,
-        ``MeshNetwork.try_jump_transfer``) before falling back to real
-        event scheduling.
-
-        Fallback boundaries are exact: an epoch is revalidated against
-        live TLB/cache/page-table state at its start and runs without a
-        single yield, so faults, contention, interrupts, and injected
-        failures — which can only land at event boundaries — always see
-        the same machine state as the per-item path, and force per-item
-        execution around the damage.
-        """
-        from repro.core.trace import KIND_VISIT
-
-        self.started_at = self.engine.now
-        kinds, page_col, read_col, write_col, think_col = trace.columns(proc)
-        cache = self.cache
-        plan = trace.epoch_plan(proc, cache._window, cache._cycles_per_access)
-        next_b = plan.boundary_list
-        barrier_keys = trace.barrier_keys
-        engine = self.engine
-        try_jump = engine.try_jump
-        # Fast-refuse guard for the flush jumps below: when the next
-        # queued event is due at or before the jump target, try_jump can
-        # only say no — skip the call.  (try_jump itself re-checks this
-        # plus the run-limit and multi-dispatch conditions.)
-        equeue = engine._queue
-        vm = self.vm
-        fast_access = vm.fast_access
-        resolve = vm.resolve
-        cache_visit = cache.visit
-        barrier_get = self.barriers.get
-        acct = self.acct
-        acct_charge = acct.charge
-        acct_times = acct.times
-        pending = self._pending
-        stolen = self._stolen
-        mem_buses = self.mem_buses
-        network = self.network
-        net_route_cache = network._route_cache
-        net_link_rate = network._link_rate
-        node = self.node
-        remote_latency = self.cfg.remote_latency_pcycles
-        n_visits = n_slow = n_remote = n_barriers = 0
-        # The per-item arm below is :meth:`run_compiled`'s loop body with
-        # index-based access and a jump attempt in front of every yield;
-        # the ``_flush()`` blocks are :meth:`_flush`, inlined, likewise
-        # jump-first.  ``attempt_from`` suppresses epoch re-attempts over
-        # a prefix that just failed validation until execution passes the
-        # item that broke the proof (it will fault or miss, changing the
-        # state the proof depends on).
-        n = len(kinds)
-        i = 0
-        # A stream with no candidate run long enough never attempts an
-        # epoch: pinning attempt_from past the end makes the per-item
-        # check a single always-false integer compare.  hard_from plays
-        # the same role for the contended step, which only needs the run
-        # to be barrier-free — window misses are fair game — but cannot
-        # run under the audit tick hook (the hook would observe state
-        # mid-commit between the step's internal jumps).
-        attempt_from = 0 if plan.max_run >= MIN_EPOCH_ITEMS else n
-        hard_b = plan.hard_list
-        hard_from = (
-            0
-            if engine._tick_hook is None
-            and plan.max_hard_run >= MIN_EPOCH_ITEMS
-            else n
-        )
-        while i < n:
-            if kinds[i] == KIND_VISIT:
-                if i >= attempt_from and next_b[i] - i >= MIN_EPOCH_ITEMS:
-                    c = self._epoch_step(plan, i, next_b[i], page_base)
-                    if c:
-                        n_visits += c
-                        i += c
-                        if self._pending_sum >= FLUSH_QUANTUM_PCYCLES:
-                            if self._stolen_sum:  # _flush(), inlined
-                                for cat, sv in stolen.items():
-                                    if sv:
-                                        pending[cat] += sv
-                                        self._pending_sum += sv
-                                        stolen[cat] = 0.0
-                                self._stolen_sum = 0.0
-                            total = self._pending_sum
-                            if total > 0.0:
-                                if (
-                                    equeue
-                                    and equeue[0][0] <= engine._now + total
-                                ) or not try_jump(total, 1):
-                                    yield Timeout(engine, total)
-                                for cat, pv in pending.items():
-                                    if pv:
-                                        acct_times[cat] += pv
-                                        pending[cat] = 0.0
-                                self._pending_sum = 0.0
-                        continue
-                    attempt_from = self._epoch_skip
-                if i >= hard_from and hard_b[i] - i >= MIN_EPOCH_ITEMS:
-                    c = self._contended_step(plan, i, hard_b[i], page_base)
-                    if c:
-                        n_visits += c
-                        i += c
-                        if self._pending_sum >= FLUSH_QUANTUM_PCYCLES:
-                            if self._stolen_sum:  # _flush(), inlined
-                                for cat, sv in stolen.items():
-                                    if sv:
-                                        pending[cat] += sv
-                                        self._pending_sum += sv
-                                        stolen[cat] = 0.0
-                                self._stolen_sum = 0.0
-                            total = self._pending_sum
-                            if total > 0.0:
-                                if (
-                                    equeue
-                                    and equeue[0][0] <= engine._now + total
-                                ) or not try_jump(total, 1):
-                                    yield Timeout(engine, total)
-                                for cat, pv in pending.items():
-                                    if pv:
-                                        acct_times[cat] += pv
-                                        pending[cat] = 0.0
-                                self._pending_sum = 0.0
-                        continue
-                    hard_from = self._epoch_skip
-                n_visits += 1
-                page = page_base + page_col[i]
-                n_reads = read_col[i]
-                n_writes = write_col[i]
-                is_write = n_writes > 0
-                home = fast_access(node, page, is_write)
-                if home is None:
-                    # Page fault (or wait on a page in motion): slow path.
-                    if self._stolen_sum:  # _flush(), inlined
-                        for cat, sv in stolen.items():
-                            if sv:
-                                pending[cat] += sv
-                                self._pending_sum += sv
-                                stolen[cat] = 0.0
-                        self._stolen_sum = 0.0
+                    if self._stolen_sum:
+                        fold_stolen()
                     total = self._pending_sum
                     if total > 0.0:
                         if (
                             equeue and equeue[0][0] <= engine._now + total
                         ) or not try_jump(total, 1):
                             yield Timeout(engine, total)
-                        for cat, pv in pending.items():
-                            if pv:
-                                acct_times[cat] += pv
-                                pending[cat] = 0.0
-                        self._pending_sum = 0.0
-                    home = yield from resolve(node, page, is_write, acct)
-                    n_slow += 1
-                busy, miss_bytes = cache_visit(page, n_reads + n_writes)
-                v = busy + think_col[i]
-                pending["other"] += v
-                self._pending_sum += v
-                if miss_bytes:
-                    if self._stolen_sum:  # _flush(), inlined
-                        for cat, sv in stolen.items():
-                            if sv:
-                                pending[cat] += sv
-                                self._pending_sum += sv
-                                stolen[cat] = 0.0
-                        self._stolen_sum = 0.0
-                    total = self._pending_sum
-                    if total > 0.0:
-                        if (
-                            equeue and equeue[0][0] <= engine._now + total
-                        ) or not try_jump(total, 1):
-                            yield Timeout(engine, total)
-                        for cat, pv in pending.items():
-                            if pv:
-                                acct_times[cat] += pv
-                                pending[cat] = 0.0
-                        self._pending_sum = 0.0
+                        drain()
                     t0 = engine._now
                     bus = mem_buses[home]
                     if not bus.try_jump_transfer(miss_bytes):
-                        # BandwidthPipe.transfer, inlined (see
-                        # run_compiled).
+                        # BandwidthPipe.transfer, inlined: the same
+                        # request / timeout / release sequence without
+                        # allocating a delegate generator per miss.
                         req = bus._server.request(0)
                         yield req
                         try:
@@ -618,7 +265,9 @@ class Cpu:
                         if not network.try_jump_transfer(
                             home, node, miss_bytes
                         ):
-                            # MeshNetwork.transfer, inlined likewise.
+                            # MeshNetwork.transfer, inlined likewise
+                            # (home != node, so the route always has
+                            # links to hold).
                             t0n = engine._now
                             ent = net_route_cache.get((home, node))
                             if ent is None:
@@ -643,48 +292,28 @@ class Cpu:
                         n_remote += 1
                     acct_charge("other", engine._now - t0)
                 if self._pending_sum >= FLUSH_QUANTUM_PCYCLES:
-                    if self._stolen_sum:  # _flush(), inlined
-                        for cat, sv in stolen.items():
-                            if sv:
-                                pending[cat] += sv
-                                self._pending_sum += sv
-                                stolen[cat] = 0.0
-                        self._stolen_sum = 0.0
+                    if self._stolen_sum:
+                        fold_stolen()
                     total = self._pending_sum
-                    if total > 0.0:
-                        if (
-                            equeue and equeue[0][0] <= engine._now + total
-                        ) or not try_jump(total, 1):
-                            yield Timeout(engine, total)
-                        for cat, pv in pending.items():
-                            if pv:
-                                acct_times[cat] += pv
-                                pending[cat] = 0.0
-                        self._pending_sum = 0.0
+                    if (
+                        equeue and equeue[0][0] <= engine._now + total
+                    ) or not try_jump(total, 1):
+                        yield Timeout(engine, total)
+                    drain()
             else:
-                if self._stolen_sum:  # _flush(), inlined
-                    for cat, sv in stolen.items():
-                        if sv:
-                            pending[cat] += sv
-                            self._pending_sum += sv
-                            stolen[cat] = 0.0
-                    self._stolen_sum = 0.0
+                if self._stolen_sum:
+                    fold_stolen()
                 total = self._pending_sum
                 if total > 0.0:
                     if (
                         equeue and equeue[0][0] <= engine._now + total
                     ) or not try_jump(total, 1):
                         yield Timeout(engine, total)
-                    for cat, pv in pending.items():
-                        if pv:
-                            acct_times[cat] += pv
-                            pending[cat] = 0.0
-                    self._pending_sum = 0.0
+                    drain()
                 t0 = engine._now
-                yield barrier_get(barrier_keys[page_col[i]]).wait()
+                yield barrier_get(barrier_keys[pg]).wait()
                 acct_charge("other", engine._now - t0)
                 n_barriers += 1
-            i += 1
         yield from self._flush()
         self.finished_at = engine.now
         stats = self.stats
@@ -697,1297 +326,13 @@ class Cpu:
         if n_barriers:
             stats.add("barriers", n_barriers)
 
-    def _epoch_step(
-        self, plan: Any, i: int, j: int, page_base: int
-    ) -> int:
-        """Execute trace items ``[i, j)`` as one vectorized step, if the
-        run is provably non-interacting.  Returns the number of items
-        consumed (0 when nothing provable; ``self._epoch_skip`` then
-        holds the first index worth re-attempting).
-
-        The candidate run (``plan.next_boundary``) contains only visits
-        whose static reuse distance fits the resident window.  Static
-        markers are a heuristic — invalidations make static hits miss,
-        and pre-existing window members make static misses hit — so the
-        run is truncated to the prefix whose distinct pages all pass live
-        validation: present in this CPU's cache window and MEMORY in the
-        page table.  Over that prefix every visit is a window hit, which
-        makes the whole step yield-free and therefore *atomic*: no other
-        process can run, so the validation cannot go stale mid-epoch, no
-        events are consumed, and the clock does not move.
-
-        Bit-identical bookkeeping is replayed in batch:
-
-        * TLB — replaying only each distinct page's *first* occurrence is
-          exact, because eviction victims are always entries untouched
-          during the run (touched entries sit behind them in LRU order,
-          and the untouched pool cannot drain: evictions <= untouched
-          originals whenever the distinct count fits the TLB, which is
-          checked).  Counters follow (hits = items - misses), and entries
-          are re-ordered afterwards to last-touch order, since the kernel
-          refreshes on every visit.
-        * pending time — the ``_pending_sum`` float chain is reproduced
-          exactly by re-running the same additions in the same order over
-          the plan's precomputed busy+think costs, with TLB-walk charges
-          spliced in before their item; the scan also yields the first
-          index where the flush quantum trips: the epoch consumes up to
-          and including that item, and the outer loop flushes — exactly
-          where the kernel would.
-        * cache window / replacement policy — every visit hits, so
-          membership is static; per-visit LRU refreshes collapse to one
-          move per distinct page in last-touch order (safe for the
-          policies that declare ``epoch_touch_safe``; the machine gates
-          epochs on that).  Dirty bits are ORed per distinct page.
-        """
-        j = min(j, i + MAX_EPOCH_ITEMS)
-        self.epoch_attempted += 1
-        reason: Optional[str] = None
-        engine = self.engine
-        # Long epochs cross several flush quanta; those flushes can be
-        # performed *inside* the step as clock jumps (_epoch_quanta),
-        # amortizing the per-epoch scans over the whole run.  That is
-        # exact only while nothing can observe state between the internal
-        # flushes: the audit tick hook inspects the machine mid-epoch,
-        # and pending stolen time changes the first flush's composition —
-        # either forces single-quantum mode (one crossing per call, the
-        # outer loop flushes).
-        single = engine._tick_hook is not None or self._stolen_sum != 0.0
-        # Cap the scan at what this call can plausibly commit — items
-        # past the cap are wasted work.  Single-quantum mode commits at
-        # most one crossing; multi-quantum mode commits until its first
-        # refused flush jump, i.e. roughly until the event queue's head
-        # falls due (with nothing queued, the whole span is in play).
-        # Estimates come from the plan's global busy prefix sums, plus
-        # slack for the float-rounding difference vs the kernel's local
-        # chains; TLB-walk charges only pull the true crossing and the
-        # true refusal earlier.  A mis-estimate is never a correctness
-        # problem: the exact crossings are still found by the chains
-        # below, and a shorter validated prefix is always a correct
-        # epoch.
-        busy_cum = plan.busy_cum
-        base = float(busy_cum[i]) - self._pending_sum
-        window = FLUSH_QUANTUM_PCYCLES
-        if not single:
-            equeue = engine._queue
-            if equeue:
-                horizon = equeue[0][0] - engine._now
-                if horizon > window:
-                    window = horizon
-            else:
-                window = float("inf")
-        if window != float("inf"):
-            est = int(np.searchsorted(
-                busy_cum, base + window, side="left",
-            )) - i
-            if i + est + 4 < j:
-                j = i + est + 4
-        span = j - i
-        vm = self.vm
-        table = vm.table
-        resident = self.cache._resident
-        tlb = vm.tlbs[self.node]
-        entries = tlb._entries
-        cap = tlb.n_entries
-        pages_list = plan.pages_list
-        MEMORY = PageState.MEMORY
-        # -- chronological first-occurrence scan + live validation.
-        # Short runs use a fused python scan whose early exit keeps
-        # failed attempts at a few dict probes (attempts fail often under
-        # memory pressure, where invalidations gut the static plan);
-        # long runs lift the first-occurrence scan to numpy and validate
-        # the (few) distinct pages in python.
-        chron_pages: List[int]
-        chron_off: List[int]
-        homes: List[int] = []
-        if span >= EPOCH_VECTOR_MIN_ITEMS:
-            uniq, first_off = np.unique(plan.pages[i:j], return_index=True)
-            order = np.argsort(first_off, kind="stable")
-            chron_pages = uniq[order].tolist()
-            chron_off = first_off[order].tolist()
-            valid = span
-            if len(chron_pages) > cap:
-                # The first-occurrence TLB replay is only exact while
-                # every distinct page fits the TLB at once.
-                valid = chron_off[cap]
-                del chron_pages[cap:], chron_off[cap:]
-                reason = "tlb_cap"
-            for k, p in enumerate(chron_pages):
-                g = page_base + p
-                if g in resident:
-                    entry = table[g]
-                    if entry.state is MEMORY:
-                        homes.append(entry.node)
-                        continue
-                # This page would miss (or fault): the epoch ends
-                # strictly before its first occurrence.
-                entry = table[g]
-                reason = _reject_reason(entry, entry.state)
-                valid = chron_off[k]
-                del chron_pages[k:], chron_off[k:]
-                break
-        else:
-            seen = set()
-            seen_add = seen.add
-            chron_pages = []
-            chron_off = []
-            valid = span
-            for off in range(span):
-                p = pages_list[i + off]
-                if p in seen:
-                    continue
-                g = page_base + p
-                if g in resident:
-                    entry = table[g]
-                    if entry.state is MEMORY:
-                        if len(seen) >= cap:
-                            # TLB-replay exactness bound, as above.
-                            valid = off
-                            reason = "tlb_cap"
-                            break
-                        seen_add(p)
-                        chron_pages.append(p)
-                        chron_off.append(off)
-                        homes.append(entry.node)
-                        continue
-                entry = table[g]
-                reason = _reject_reason(entry, entry.state)
-                valid = off
-                break
-        if valid < MIN_EPOCH_ITEMS:
-            self._epoch_skip = i + valid + 1
-            # No break within a horizon-clamped span means the queue's
-            # head (or the run limit) cut the candidate short.
-            r = reason if reason is not None else "contended_pipe"
-            self.epoch_rejects[r] = self.epoch_rejects.get(r, 0) + 1
-            return 0
-        # -- dry-run TLB replay on a shadow copy: which first
-        # occurrences take the miss branch (and charge a walk)?
-        tlb_miss = self.cfg.tlb_miss_pcycles
-        shadow = dict(entries)
-        miss_offs: List[int] = []  # ascending (chron_off is ascending)
-        for k, p in enumerate(chron_pages):
-            g = page_base + p
-            h = shadow.pop(g, None)
-            if h is None:
-                miss_offs.append(chron_off[k])
-                if len(shadow) >= cap:
-                    del shadow[next(iter(shadow))]
-                h = homes[k]
-            shadow[g] = h
-        # -- flush-quantum crossing over the exact charge sequence: the
-        # kernel adds each item's TLB-walk charge (when its page's first
-        # occurrence misses) before its busy+think cost and checks the
-        # quantum after the item.  The same adds in the same order on the
-        # same doubles reproduce the ``_pending_sum`` float chain bit for
-        # bit (np.cumsum accumulates sequentially, so both arms below
-        # produce identical doubles).  The epoch consumes up to and
-        # including the crossing item; the outer loop then flushes,
-        # exactly where the kernel would.
-        busy_list = plan.busy_list
-        pending_sum = self._pending_sum
-        pending_done = False
-        if not single and valid >= EPOCH_VECTOR_MIN_ITEMS:
-            # Multi-quantum: flushes inside the step, chains committed
-            # there.
-            c = self._epoch_quanta(plan, i, valid, miss_offs, tlb_miss)
-            pending_done = True
-        elif valid >= EPOCH_VECTOR_MIN_ITEMS:
-            bts = plan.busy_think[i:i + valid]
-            if miss_offs:
-                moffs = np.asarray(miss_offs, dtype=np.int64)
-                seq = np.insert(bts, moffs, tlb_miss)
-                cum = np.cumsum(np.concatenate(((pending_sum,), seq)))
-                ar = np.arange(valid)
-                end_vals = cum[
-                    1 + ar + np.searchsorted(moffs, ar, side="right")
-                ]
-            else:
-                end_vals = np.cumsum(
-                    np.concatenate(((pending_sum,), bts))
-                )[1:]
-            k_q = int(
-                np.searchsorted(end_vals, FLUSH_QUANTUM_PCYCLES, side="left")
-            )
-            c = valid if k_q >= valid else k_q + 1
-            pending_sum = float(end_vals[c - 1])
-        else:
-            c = valid
-            mi = 0
-            n_mo = len(miss_offs)
-            for off in range(valid):
-                if mi < n_mo and miss_offs[mi] == off:
-                    pending_sum += tlb_miss
-                    mi += 1
-                pending_sum += busy_list[i + off]
-                if pending_sum >= FLUSH_QUANTUM_PCYCLES:
-                    c = off + 1
-                    break
-        # -- commit: batch-apply the per-item bookkeeping for [i, i + c)
-        n_miss = 0
-        evictions = 0
-        home_of = {}
-        for k, p in enumerate(chron_pages):
-            if chron_off[k] >= c:
-                break
-            g = page_base + p
-            # A TLB hit refreshes the *cached* home (the kernel never
-            # consults the table on a hit); only a miss installs the
-            # table's node.
-            h = entries.pop(g, None)
-            if h is None:
-                n_miss += 1
-                if len(entries) >= cap:
-                    del entries[next(iter(entries))]
-                    evictions += 1
-                h = homes[k]
-            entries[g] = h
-            home_of[g] = h
-        tlb._hits += c - n_miss
-        tlb._misses += n_miss
-        tlb._evictions += evictions
-        cache = self.cache
-        cache._hits += c
-        # Last-touch order of the consumed prefix's distinct pages: the
-        # kernel's per-visit LRU refreshes leave exactly this ordering in
-        # the TLB, the cache window, and the home policies.  (np.unique
-        # over the reversed segment keeps each page's *first* reversed
-        # occurrence = its last touch; re-sorting by that index and
-        # flipping recovers least-recently-touched-first, matching the
-        # python scan.)
-        if c >= EPOCH_VECTOR_MIN_ITEMS:
-            seg_c = plan.pages[i:i + c]
-            rev_uniq, rev_idx = np.unique(seg_c[::-1], return_index=True)
-            lt_pages = rev_uniq[
-                np.argsort(rev_idx, kind="stable")[::-1]
-            ].tolist()
-        else:
-            seen2 = set()
-            seen2_add = seen2.add
-            last_touch: List[int] = []
-            for off in range(c - 1, -1, -1):
-                p = pages_list[i + off]
-                if p not in seen2:
-                    seen2_add(p)
-                    last_touch.append(p)
-            lt_pages = last_touch[::-1]
-        vres = vm.resident
-        move_res = resident.move_to_end
-        for p in lt_pages:
-            g = page_base + p
-            h = entries.pop(g)
-            entries[g] = h
-            move_res(g)
-            vres[home_of[g]].touch(g)
-        write_cum = plan.write_cum
-        if write_cum[i + c] == write_cum[i]:
-            # Read-only-sharing epoch: no item writes, so no dirty bit
-            # can change — skip the marking scan entirely (two prefix
-            # lookups instead of O(c) work).
-            pass
-        elif c >= EPOCH_VECTOR_MIN_ITEMS:
-            wr = plan.is_write[i:i + c]
-            for p in np.unique(seg_c[wr]).tolist():
-                table[page_base + p].dirty = True
-        else:
-            write_list = plan.write_list
-            dirty_done = set()
-            for off in range(c):
-                if write_list[i + off]:
-                    p = pages_list[i + off]
-                    if p not in dirty_done:
-                        dirty_done.add(p)
-                        table[page_base + p].dirty = True
-        # -- pending time: per-category chains, each bit-identical to
-        # the kernel's scalar accumulation order (np.cumsum adds
-        # sequentially, so the long-run arm lands on the same doubles).
-        # The multi-quantum path committed these inside _epoch_quanta.
-        if not pending_done:
-            pending = self._pending
-            if c >= EPOCH_VECTOR_MIN_ITEMS:
-                pending["other"] = float(
-                    np.cumsum(
-                        np.concatenate(
-                            ((pending["other"],), plan.busy_think[i:i + c])
-                        )
-                    )[-1]
-                )
-            else:
-                po = pending["other"]
-                for off in range(c):
-                    po += busy_list[i + off]
-                pending["other"] = po
-            if n_miss:
-                pt = pending["tlb"]
-                for _ in range(n_miss):
-                    pt += tlb_miss
-                pending["tlb"] = pt
-            self._pending_sum = pending_sum
-        self.epoch_items += c
-        self.epoch_batches += 1
-        self.epoch_accepted += 1
-        return c
-
-    def _contended_step(
-        self, plan: Any, i: int, j: int, page_base: int
-    ) -> int:
-        """Execute trace items ``[i, j)`` — *including* resident-window
-        misses — as one fused batched step.  Returns the number of items
-        consumed (0 when the very first item needs the evented path;
-        ``self._epoch_skip`` then holds the next index worth attempting).
-
-        Where :meth:`_epoch_step` only accepts runs it can prove are pure
-        window hits, this step follows the per-item arm of
-        :meth:`run_epochs` item by item and *commits* each one whose
-        interactions all collapse into clock jumps.  The protocol per
-        item is snapshot → revalidate → execute:
-
-        * **snapshot/revalidate** — classify the item against live state
-          without mutating anything: TLB entry (``entries.get``), page-
-          table state on a TLB miss, window residency.  A page that is
-          ABSENT (a real fault) or in motion on another processor
-          (INFLIGHT/SWAPPING/RING) stops the step *before* the item.
-        * **prove the jumps** — for a window miss, pre-compute the exact
-          ascending target chain the kernel would produce — pending
-          flush (with the stolen-time fold reproduced add by add), home
-          memory bus, mesh route, remote latency — and refuse the item
-          unless every queued event falls strictly after the final
-          target, the run limit holds, and every pipe on the chain is
-          idle: precisely the conditions under which ``Engine.try_jump``
-          / ``try_jump_transfer`` are guaranteed to succeed.
-        * **execute** — replay the kernel's mutations in kernel order
-          (TLB bookkeeping, window update, pending-time float chains
-          addition by addition) and issue the *real* jump calls, which
-          advance the clock, busy integrals, latency tallies, and event
-          counts exactly as the evented path would.
-
-        Because the whole step is yield-free, no other process can run
-        mid-step: validation cannot go stale, and stopping before a
-        blocked item leaves the machine in exactly the state the
-        per-item arm expects (it redoes the classification and takes the
-        evented path).  The step cannot run under the audit tick hook —
-        the hook fires inside the jumps and would observe counters that
-        are committed in bulk at step exit (the caller gates on this).
-        """
-        j = min(j, i + MAX_EPOCH_ITEMS)
-        self.epoch_attempted += 1
-        engine = self.engine
-        if engine._multi_dispatch:
-            self._epoch_skip = i + 1
-            self.epoch_rejects["contended_pipe"] = (
-                self.epoch_rejects.get("contended_pipe", 0) + 1
-            )
-            return 0
-        node = self.node
-        vm = self.vm
-        table = vm.table
-        tlb = vm.tlbs[node]
-        entries = tlb._entries
-        # First-item sharing gate, ahead of the full local hoist below:
-        # on eviction-heavy traces many rejected attempts die immediately
-        # on a page mid-flight on another processor, and the gate's
-        # classification is byte-for-byte the loop's own first-item arm.
-        # ABSENT and RING pages fall through — the loop's batched fault
-        # pipelines may absorb them.
-        g0 = page_base + plan.pages_list[i]
-        if g0 not in entries:
-            ent0 = table[g0]
-            st0 = ent0.state
-            if st0 is PageState.INFLIGHT or st0 is PageState.SWAPPING:
-                self._epoch_skip = i + 1
-                r = _reject_reason(ent0, st0)
-                self.epoch_rejects[r] = self.epoch_rejects.get(r, 0) + 1
-                return 0
-        equeue = engine._queue
-        limit = engine._limit
-        try_jump = engine.try_jump
-        vres = vm.resident
-        cap = tlb.n_entries
-        cache = self.cache
-        resident = cache._resident
-        move_res = resident.move_to_end
-        window = cache._window
-        cold_mb = cache._cold_miss_bytes
-        page_size = cache._page_size
-        pages_list = plan.pages_list
-        busy_list = plan.busy_list
-        write_list = plan.write_list
-        nacc_list = plan.naccess_list
-        pending = self._pending
-        stolen = self._stolen
-        acct_times = self.acct.times
-        mem_buses = self.mem_buses
-        network = self.network
-        net_route_cache = network._route_cache
-        net_link_rate = network._link_rate
-        tlb_miss = self.cfg.tlb_miss_pcycles
-        remote_latency = self.cfg.remote_latency_pcycles
-        MEMORY = PageState.MEMORY
-        ABSENT = PageState.ABSENT
-        # Working copies of every float chain the kernel threads through
-        # the per-item loop; written back once at step exit.  Nothing can
-        # observe the dicts mid-step (yield-free), so locals are exact.
-        psum = self._pending_sum
-        po = pending["other"]
-        ptlb = pending["tlb"]
-        ao = acct_times["other"]
-        atl = acct_times["tlb"]
-        stolen_rem = self._stolen_sum
-        now = engine._now
-        t_hits = t_misses = t_ev = 0
-        c_hits = c_misses = 0
-        n_remote = 0
-        reason = "contended_pipe"
-        off = i
-        while off < j:
-            g = page_base + pages_list[off]
-            h = entries.get(g)
-            ent = None
-            if h is None:
-                ent = table[g]
-                st = ent.state
-                if st is not MEMORY:
-                    if st is ABSENT or st is PageState.RING:
-                        # A real fault: attempt the whole resolve chain
-                        # (page walk, disk/ring service, bus crossings,
-                        # daemon kicks, refill) as one proven ascending
-                        # jump sequence — the batched fault pipeline.
-                        batched = (
-                            self._batched_fault
-                            if st is ABSENT
-                            else self._batched_ring
-                        )(
-                            g, ent, write_list[off], busy_list[off],
-                            nacc_list[off], psum, po, ptlb, ao, atl,
-                            stolen_rem,
-                        )
-                        if batched is not None:
-                            psum, po, ptlb, ao, atl, stolen_rem = batched
-                            now = engine._now
-                            off += 1
-                            if psum >= FLUSH_QUANTUM_PCYCLES:
-                                break
-                            continue
-                    # Stop *before* the item: nothing committed yet for
-                    # it, so the per-item arm redoes the classification
-                    # and takes the slow path.
-                    reason = _reject_reason(ent, st)
-                    break
-                home = ent.node
-            else:
-                home = h
-            v = busy_list[off]
-            wr = write_list[off]
-            if g in resident:
-                mb = 0
-            else:
-                na = nacc_list[off]
-                mb = max(cold_mb, min(page_size, na * BLOCK_BYTES))
-                mb = min(mb, page_size)
-                if mb:
-                    # Prove the whole jump chain before touching state.
-                    # Flush total: the psum chain after this item's adds
-                    # plus the stolen fold, reproduced add by add.
-                    tot = psum
-                    if h is None:
-                        tot = tot + tlb_miss
-                    tot = tot + v
-                    if stolen_rem:
-                        for sv in stolen.values():
-                            if sv:
-                                tot = tot + sv
-                    t_last = now + tot if tot > 0.0 else now
-                    bus = mem_buses[home]
-                    srv = bus._server
-                    if srv.users or srv.queue:
-                        break
-                    t_last = t_last + (bus.overhead + mb / bus.rate)
-                    if home != node:
-                        rent = net_route_cache.get((home, node))
-                        if rent is None:
-                            rent = network._route_entry(home, node)
-                        links, fixed, hops = rent
-                        blocked = False
-                        for res in links:
-                            if res.users or res.queue:
-                                blocked = True
-                                break
-                        if blocked:
-                            break
-                        t_last = t_last + (
-                            fixed + mb / net_link_rate if hops else fixed
-                        )
-                        t_last = t_last + remote_latency
-                    if (equeue and equeue[0][0] <= t_last) or t_last > limit:
-                        break
-            # -- commit, in kernel order: fast_access ...
-            if h is None:
-                t_misses += 1
-                ptlb += tlb_miss
-                psum += tlb_miss
-                if len(entries) >= cap:
-                    del entries[next(iter(entries))]
-                    t_ev += 1
-                entries[g] = home
-                vres[home].touch(g)
-                if wr:
-                    ent.dirty = True
-            else:
-                del entries[g]
-                entries[g] = home
-                t_hits += 1
-                vres[home].touch(g)
-                if wr:
-                    table[g].dirty = True
-            # ... then cache.visit ...
-            if mb == 0 and g in resident:
-                move_res(g)
-                c_hits += 1
-                po += v
-                psum += v
-            else:
-                c_misses += 1
-                resident[g] = None
-                while len(resident) > window:
-                    resident.popitem(last=False)
-                po += v
-                psum += v
-                if mb:
-                    # ... flush (fold + jump + drain) ...
-                    if stolen_rem:
-                        for cat, sv in stolen.items():
-                            if sv:
-                                if cat == "other":
-                                    po += sv
-                                elif cat == "tlb":
-                                    ptlb += sv
-                                else:
-                                    pending[cat] += sv
-                                psum += sv
-                                stolen[cat] = 0.0
-                        self._stolen_sum = 0.0
-                        stolen_rem = 0.0
-                    if psum > 0.0:
-                        if not try_jump(psum, 1):
-                            raise RuntimeError(
-                                "contended epoch: proven flush jump refused"
-                            )
-                        for cat, pv in pending.items():
-                            if pv and cat != "other" and cat != "tlb":
-                                acct_times[cat] += pv
-                                pending[cat] = 0.0
-                        if ptlb:
-                            atl += ptlb
-                            ptlb = 0.0
-                        if po:
-                            ao += po
-                            po = 0.0
-                        psum = 0.0
-                    # ... and the proven transfer chain, via the real
-                    # jump calls (side effects identical to the evented
-                    # path: busy integrals, byte counts, latency tally,
-                    # event ids).
-                    t0 = engine._now
-                    if not bus.try_jump_transfer(mb):
-                        raise RuntimeError(
-                            "contended epoch: proven bus jump refused"
-                        )
-                    if home != node:
-                        if not network.try_jump_transfer(home, node, mb):
-                            raise RuntimeError(
-                                "contended epoch: proven mesh jump refused"
-                            )
-                        if not try_jump(remote_latency, 1):
-                            raise RuntimeError(
-                                "contended epoch: proven latency jump refused"
-                            )
-                        n_remote += 1
-                    now = engine._now
-                    ao += now - t0
-            off += 1
-            if psum >= FLUSH_QUANTUM_PCYCLES:
-                # Quantum crossed on this item: consume through it and
-                # let the caller's outer flush run, exactly where the
-                # kernel would flush.
-                break
-        c = off - i
-        pending["other"] = po
-        pending["tlb"] = ptlb
-        self._pending_sum = psum
-        acct_times["other"] = ao
-        acct_times["tlb"] = atl
-        tlb._hits += t_hits
-        tlb._misses += t_misses
-        tlb._evictions += t_ev
-        cache._hits += c_hits
-        cache._misses += c_misses
-        if n_remote:
-            self.stats.add("remote_fetches", n_remote)
-        if c == 0:
-            self._epoch_skip = i + 1
-            self.epoch_rejects[reason] = self.epoch_rejects.get(reason, 0) + 1
-            return 0
-        self.epoch_items += c
-        self.epoch_batches += 1
-        self.epoch_accepted += 1
-        return c
-
-    def _batched_fault(
-        self,
-        g: int,
-        ent: Any,
-        wr: bool,
-        v: float,
-        na: int,
-        psum: float,
-        po: float,
-        ptlb: float,
-        ao: float,
-        atl: float,
-        stolen_rem: float,
-    ) -> Optional[Tuple[float, float, float, float, float, float]]:
-        """Resolve an ABSENT page as one batched jump chain, if provable.
-
-        Collapses the per-item arm's fault cascade — pending flush, frame
-        allocation, daemon kicks, control message, controller service,
-        I/O + memory bus crossings, page installation, cache refill — into
-        the exact ascending sequence of clock jumps the evented path would
-        produce, then executes it through the real jump calls (identical
-        busy integrals, byte counts, latency tallies, event ids).  Runs
-        yield-free inside :meth:`_contended_step`, so the proof cannot go
-        stale mid-chain.  Returns the updated pending-time working copies
-        ``(psum, po, ptlb, ao, atl, stolen_rem)``, or ``None`` without
-        touching anything when any link cannot be proven uncontended:
-
-        * the frame pool is empty, the allocation would fire the
-          low-watermark event, or it would leave a frame deficit for the
-          armed replacement daemon (whose wake must stay a no-op re-park
-          — under steady frame pressure this is the honest blocker);
-        * the controller cannot answer synchronously: only OPTIMAL mode,
-          or a plain NAIVE/STREAM cache hit that spawns no prefetch
-          process, collapses;
-        * a settle event is pending on the entry, a pipe or mesh link on
-          the route is busy, or a queued event falls at or before the
-          chain's final target (``Engine.try_jump``'s own refusal rule —
-          targets ascend, so checking the last covers every jump).
-
-        The daemon kicks are accounted *virtually*: a proven-no-op wake
-        costs the same one event id / processed count the evented wake
-        would, but the daemon stays parked on its existing event — a
-        substitute event would orphan the real generator's callback.
-        """
-        engine = self.engine
-        node = self.node
-        vm = self.vm
-        cfg = self.cfg
-        pool = vm.pools[node]
-        free = pool._free
-        if not free:
-            self.epoch_fault_blocked_pressure += 1
-            return None
-        lw = pool._low_watermark_event
-        if (
-            lw is not None
-            and not lw.triggered
-            and (len(free) - 1) < pool.min_free
-        ):
-            self.epoch_fault_blocked_pressure += 1
-            return None
-        se = ent._settle
-        if se is not None and not se.triggered:
-            self.epoch_fault_blocked_window += 1
-            return None
-        dw = vm._daemon_wakes[node]
-        kick = dw is not None and not dw.triggered
-        if kick and (pool.min_free + len(pool._waiters)) > (
-            (len(free) - 1) + vm._pending_free[node]
-        ):
-            # The post-alloc deficit would make the woken daemon evict:
-            # a genuine eviction cascade, not a jumpable no-op.
-            self.epoch_fault_blocked_pressure += 1
-            return None
-        swap = vm.swap
-        ctrl = swap.controller_of(g)
-        io_node = swap.io_node_of(g)
-        mode = ctrl.prefetch
-        stream_hit = False
-        if mode is not PrefetchMode.OPTIMAL:
-            # NAIVE/STREAM collapse only on a plain cache hit: present,
-            # not under an in-flight prefetch, and (STREAM) not part of a
-            # detected sequential run — a streaming hit spawns a prefetch
-            # process, which is real event scheduling.
-            if g not in ctrl._slots or g in ctrl._inflight_prefetch:
-                self.epoch_fault_blocked_window += 1
-                return None
-            if mode is PrefetchMode.STREAM:
-                hist = ctrl._read_history
-                if g - 1 in hist or g - 2 in hist:
-                    self.epoch_fault_blocked_window += 1
-                    return None
-                stream_hit = True
-        cache = self.cache
-        if g in cache._resident:  # pragma: no cover - ABSENT pages are
-            return None           # shot down from every window
-        page_size = cache._page_size
-        mb = max(cache._cold_miss_bytes, min(page_size, na * BLOCK_BYTES))
-        mb = min(mb, page_size)
-        psize = cfg.page_size
-        io_bus = vm.io_buses[io_node]
-        srv = io_bus._server
-        if srv.users or srv.queue:
-            self.epoch_fault_blocked_window += 1
-            return None
-        mem_bus = self.mem_buses[node]
-        srv = mem_bus._server
-        if srv.users or srv.queue:
-            self.epoch_fault_blocked_window += 1
-            return None
-        net = self.network
-        rc = net._route_cache
-        out = rc.get((node, io_node))
-        if out is None:
-            out = net._route_entry(node, io_node)
-        links_out, fixed_out, hops_out = out
-        for res in links_out:
-            if res.users or res.queue:
-                self.epoch_fault_blocked_window += 1
-                return None
-        remote = io_node != node
-        if remote:
-            mem_bus_io = self.mem_buses[io_node]
-            srv = mem_bus_io._server
-            if srv.users or srv.queue:
-                self.epoch_fault_blocked_window += 1
-                return None
-            back = rc.get((io_node, node))
-            if back is None:
-                back = net._route_entry(io_node, node)
-            links_back, fixed_back, hops_back = back
-            for res in links_back:
-                if res.users or res.queue:
-                    self.epoch_fault_blocked_window += 1
-                    return None
-        # -- the ascending target chain, reproduced add by add
-        stolen = self._stolen
-        tlb_miss = cfg.tlb_miss_pcycles
-        tot = psum + tlb_miss
-        if stolen_rem:
-            for sv in stolen.values():
-                if sv:
-                    tot = tot + sv
-        now = engine._now
-        t = now + tot if tot > 0.0 else now
-        nlr = net._link_rate
-        cm = cfg.control_msg_bytes
-        t = t + (fixed_out + cm / nlr if hops_out else fixed_out)
-        t = t + cfg.controller_overhead_pcycles
-        t = t + (io_bus.overhead + psize / io_bus.rate)
-        if remote:
-            t = t + (mem_bus_io.overhead + psize / mem_bus_io.rate)
-            t = t + (fixed_back + psize / nlr if hops_back else fixed_back)
-        t = t + (mem_bus.overhead + psize / mem_bus.rate)
-        t = t + v
-        if mb:
-            t = t + (mem_bus.overhead + mb / mem_bus.rate)
-        equeue = engine._queue
-        if (equeue and equeue[0][0] <= t) or t > engine._limit:
-            self.epoch_fault_blocked_window += 1
-            return None
-        # -- commit, in kernel order: fast_access's miss bookkeeping ...
-        tlb = vm.tlbs[node]
-        tlb._misses += 1
-        ptlb += tlb_miss
-        psum += tlb_miss
-        pending = self._pending
-        acct_times = self.acct.times
-        try_jump = engine.try_jump
-        # ... the pre-resolve flush (fold + jump + drain) ...
-        if stolen_rem:
-            for cat, sv in stolen.items():
-                if sv:
-                    if cat == "other":
-                        po += sv
-                    elif cat == "tlb":
-                        ptlb += sv
-                    else:
-                        pending[cat] += sv
-                    psum += sv
-                    stolen[cat] = 0.0
-            self._stolen_sum = 0.0
-            stolen_rem = 0.0
-        if psum > 0.0:
-            if not try_jump(psum, 1):
-                raise RuntimeError("batched fault: proven flush jump refused")
-            for cat, pv in pending.items():
-                if pv and cat != "other" and cat != "tlb":
-                    acct_times[cat] += pv
-                    pending[cat] = 0.0
-            if ptlb:
-                atl += ptlb
-                ptlb = 0.0
-            if po:
-                ao += po
-                po = 0.0
-            psum = 0.0
-        # ... resolve's disk fetch, collapsed ...
-        frame = free.popleft()
-        pool.stall.record(0.0)
-        pool._notify_low()  # proven silent
-        if kick:  # virtual daemon kick #1 (proven no-op re-park)
-            engine.events_processed += 1
-            engine.events_jumped += 1
-            next(engine._eid)
-        ent.to_inflight(node)
-        t0 = engine._now
-        if not net.try_jump_transfer(node, io_node, cm):
-            raise RuntimeError(
-                "batched fault: proven control-message jump refused"
-            )
-        if not try_jump(cfg.controller_overhead_pcycles, 1):
-            raise RuntimeError("batched fault: proven controller jump refused")
-        if mode is PrefetchMode.OPTIMAL:
-            ctrl.note_optimal_read(g)
-        else:
-            # ctrl.read's cache-hit arm, collapsed (conditions above).
-            if stream_hit:
-                ctrl._read_history.append(g)
-            ctrl._slots.move_to_end(g)
-            ctrl.stats.add("read_hits")
-        if not io_bus.try_jump_transfer(psize):
-            raise RuntimeError("batched fault: proven I/O bus jump refused")
-        if remote:
-            if not mem_bus_io.try_jump_transfer(psize):
-                raise RuntimeError(
-                    "batched fault: proven remote bus jump refused"
-                )
-            if not net.try_jump_transfer(io_node, node, psize):
-                raise RuntimeError("batched fault: proven mesh jump refused")
-        if not mem_bus.try_jump_transfer(psize):
-            raise RuntimeError(
-                "batched fault: proven memory bus jump refused"
-            )
-        ent.to_memory(node, frame, dirty=False)
-        vm.resident[node].insert(g)
-        now = engine._now
-        latency = now - t0
-        self.acct.charge("fault", latency)
-        metrics = vm.metrics
-        counts = metrics.counts
-        counts.add("faults")
-        metrics.fault_latency.record(latency)
-        counts.add("disk_cache_hits")
-        metrics.disk_hit_latency.record(latency)
-        if kick:  # virtual daemon kick #2
-            engine.events_processed += 1
-            engine.events_jumped += 1
-            next(engine._eid)
-        # ... the fault loop's MEMORY arm: install, touch, mark dirty ...
-        entries = tlb._entries
-        if len(entries) >= tlb.n_entries:
-            del entries[next(iter(entries))]
-            tlb._evictions += 1
-        entries[g] = node
-        vm.resident[node].touch(g)
-        if wr:
-            ent.dirty = True
-        # ... and the per-item arm's tail: slow access + cache refill.
-        self.stats.add("slow_accesses", 1)
-        cache._misses += 1
-        resident = cache._resident
-        resident[g] = None
-        while len(resident) > cache._window:
-            resident.popitem(last=False)
-        po += v
-        psum += v
-        if mb:
-            if psum > 0.0:
-                if not try_jump(psum, 1):
-                    raise RuntimeError(
-                        "batched fault: proven refill flush jump refused"
-                    )
-                for cat, pv in pending.items():
-                    if pv and cat != "other" and cat != "tlb":
-                        acct_times[cat] += pv
-                        pending[cat] = 0.0
-                if ptlb:
-                    atl += ptlb
-                    ptlb = 0.0
-                if po:
-                    ao += po
-                    po = 0.0
-                psum = 0.0
-            t0 = engine._now
-            if not mem_bus.try_jump_transfer(mb):
-                raise RuntimeError(
-                    "batched fault: proven refill bus jump refused"
-                )
-            ao += engine._now - t0
-        self.epoch_fault_jumps += 1
-        return (psum, po, ptlb, ao, atl, stolen_rem)
-
-    def _batched_ring(
-        self,
-        g: int,
-        ent: Any,
-        wr: bool,
-        v: float,
-        na: int,
-        psum: float,
-        po: float,
-        ptlb: float,
-        ao: float,
-        atl: float,
-        stolen_rem: float,
-    ) -> Optional[Tuple[float, float, float, float, float, float]]:
-        """Snoop a RING page off its cache channel as one batched chain.
-
-        The ring-snoop analogue of :meth:`_batched_fault`: claim the page
-        from the drain FIFO, wait out the ring alignment, cross the local
-        I/O and memory buses, install the (dirty) page — all as proven
-        clock jumps with the same protocol and virtual-kick accounting.
-        Returns the updated working copies or ``None`` untouched.  Extra
-        refusals beyond the fault chain's: victim caching off, the page no
-        longer claimable (the drain got to it first), or a swap-out
-        waiting on the channel's slot (``remove`` would wake it — real
-        event scheduling).
-        """
-        cfg = self.cfg
-        if not cfg.victim_caching:
-            return None
-        engine = self.engine
-        node = self.node
-        vm = self.vm
-        swap = vm.swap
-        ring = swap.ring
-        ch_idx = ent.ring_channel
-        if ring is None or ch_idx is None:
-            return None
-        iface = swap.interfaces.get(swap.io_node_of(g))
-        if iface is None:
-            return None
-        # Non-mutating claim check: the drain FIFO must still hold the
-        # page, so the commit's real try_claim below cannot refuse.
-        fifo = iface._fifos.get(ch_idx)
-        if not fifo:
-            self.epoch_fault_blocked_window += 1
-            return None
-        for queued in fifo:
-            if queued[0] == g:
-                break
-        else:
-            self.epoch_fault_blocked_window += 1
-            return None
-        pool = vm.pools[node]
-        free = pool._free
-        if not free:
-            self.epoch_fault_blocked_pressure += 1
-            return None
-        lw = pool._low_watermark_event
-        if (
-            lw is not None
-            and not lw.triggered
-            and (len(free) - 1) < pool.min_free
-        ):
-            self.epoch_fault_blocked_pressure += 1
-            return None
-        se = ent._settle
-        if se is not None and not se.triggered:
-            self.epoch_fault_blocked_window += 1
-            return None
-        dw = vm._daemon_wakes[node]
-        kick = dw is not None and not dw.triggered
-        if kick and (pool.min_free + len(pool._waiters)) > (
-            (len(free) - 1) + vm._pending_free[node]
-        ):
-            self.epoch_fault_blocked_pressure += 1
-            return None
-        channel = ring.channels[ch_idx]
-        if channel._slot_waiters:
-            self.epoch_fault_blocked_window += 1
-            return None
-        cache = self.cache
-        if g in cache._resident:  # pragma: no cover - RING pages are
-            return None           # shot down from every window
-        page_size = cache._page_size
-        mb = max(cache._cold_miss_bytes, min(page_size, na * BLOCK_BYTES))
-        mb = min(mb, page_size)
-        psize = cfg.page_size
-        io_bus = vm.io_buses[node]
-        srv = io_bus._server
-        if srv.users or srv.queue:
-            self.epoch_fault_blocked_window += 1
-            return None
-        mem_bus = self.mem_buses[node]
-        srv = mem_bus._server
-        if srv.users or srv.queue:
-            self.epoch_fault_blocked_window += 1
-            return None
-        # -- ascending targets: flush, ring alignment, two bus crossings
-        stolen = self._stolen
-        tlb_miss = cfg.tlb_miss_pcycles
-        tot = psum + tlb_miss
-        if stolen_rem:
-            for sv in stolen.values():
-                if sv:
-                    tot = tot + sv
-        now = engine._now
-        t = now + tot if tot > 0.0 else now
-        # read_delay exactly as the channel will compute it *after* the
-        # flush jump (the alignment is phase-relative to the live clock).
-        phase = channel._pages[g]
-        t = t + ((phase - t) % channel.round_trip + channel.insertion_time())
-        t = t + (io_bus.overhead + psize / io_bus.rate)
-        t = t + (mem_bus.overhead + psize / mem_bus.rate)
-        t = t + v
-        if mb:
-            t = t + (mem_bus.overhead + mb / mem_bus.rate)
-        equeue = engine._queue
-        if (equeue and equeue[0][0] <= t) or t > engine._limit:
-            self.epoch_fault_blocked_window += 1
-            return None
-        # -- commit, in kernel order (see _batched_fault)
-        tlb = vm.tlbs[node]
-        tlb._misses += 1
-        ptlb += tlb_miss
-        psum += tlb_miss
-        pending = self._pending
-        acct_times = self.acct.times
-        try_jump = engine.try_jump
-        if stolen_rem:
-            for cat, sv in stolen.items():
-                if sv:
-                    if cat == "other":
-                        po += sv
-                    elif cat == "tlb":
-                        ptlb += sv
-                    else:
-                        pending[cat] += sv
-                    psum += sv
-                    stolen[cat] = 0.0
-            self._stolen_sum = 0.0
-            stolen_rem = 0.0
-        if psum > 0.0:
-            if not try_jump(psum, 1):
-                raise RuntimeError(
-                    "batched ring snoop: proven flush jump refused"
-                )
-            for cat, pv in pending.items():
-                if pv and cat != "other" and cat != "tlb":
-                    acct_times[cat] += pv
-                    pending[cat] = 0.0
-            if ptlb:
-                atl += ptlb
-                ptlb = 0.0
-            if po:
-                ao += po
-                po = 0.0
-            psum = 0.0
-        frame = free.popleft()
-        pool.stall.record(0.0)
-        pool._notify_low()  # proven silent
-        if kick:  # virtual daemon kick #1
-            engine.events_processed += 1
-            engine.events_jumped += 1
-            next(engine._eid)
-        if not iface.try_claim(ch_idx, g):
-            raise RuntimeError("batched ring snoop: proven claim refused")
-        # _fault_from_ring, collapsed
-        ent.to_inflight(node)
-        t0 = engine._now
-        if not try_jump(channel.read_delay(g), 1):
-            raise RuntimeError("batched ring snoop: proven ring jump refused")
-        if not io_bus.try_jump_transfer(psize):
-            raise RuntimeError(
-                "batched ring snoop: proven I/O bus jump refused"
-            )
-        if not mem_bus.try_jump_transfer(psize):
-            raise RuntimeError(
-                "batched ring snoop: proven memory bus jump refused"
-            )
-        channel.remove(g)
-        # The disk copy is stale, so the page re-enters memory dirty.
-        ent.to_memory(node, frame, dirty=True)
-        vm.resident[node].insert(g)
-        now = engine._now
-        dt = now - t0
-        self.acct.charge("fault", dt)
-        metrics = vm.metrics
-        counts = metrics.counts
-        counts.add("faults")
-        counts.add("ring_hits")
-        metrics.ring_hit_latency.record(dt)
-        metrics.fault_latency.record(dt)
-        if kick:  # virtual daemon kick #2
-            engine.events_processed += 1
-            engine.events_jumped += 1
-            next(engine._eid)
-        # resolve's MEMORY arm + the per-item tail (see _batched_fault)
-        entries = tlb._entries
-        if len(entries) >= tlb.n_entries:
-            del entries[next(iter(entries))]
-            tlb._evictions += 1
-        entries[g] = node
-        vm.resident[node].touch(g)
-        if wr:
-            ent.dirty = True
-        self.stats.add("slow_accesses", 1)
-        cache._misses += 1
-        resident = cache._resident
-        resident[g] = None
-        while len(resident) > cache._window:
-            resident.popitem(last=False)
-        po += v
-        psum += v
-        if mb:
-            if psum > 0.0:
-                if not try_jump(psum, 1):
-                    raise RuntimeError(
-                        "batched ring snoop: proven refill flush jump refused"
-                    )
-                for cat, pv in pending.items():
-                    if pv and cat != "other" and cat != "tlb":
-                        acct_times[cat] += pv
-                        pending[cat] = 0.0
-                if ptlb:
-                    atl += ptlb
-                    ptlb = 0.0
-                if po:
-                    ao += po
-                    po = 0.0
-                psum = 0.0
-            t0 = engine._now
-            if not mem_bus.try_jump_transfer(mb):
-                raise RuntimeError(
-                    "batched ring snoop: proven refill bus jump refused"
-                )
-            ao += engine._now - t0
-        self.epoch_ring_jumps += 1
-        return (psum, po, ptlb, ao, atl, stolen_rem)
-
-    def _epoch_quanta(
-        self,
-        plan: Any,
-        i: int,
-        valid: int,
-        miss_offs: List[int],
-        tlb_miss: float,
-    ) -> int:
-        """Integrate pending time over a validated epoch of ``valid``
-        items, performing the flush-quantum flushes *inside* the epoch
-        as clock jumps.  Returns the number of items consumed.
-
-        Each quantum's ``_pending_sum`` / ``pending["other"]`` /
-        ``pending["tlb"]`` float chains are re-run as seeded cumulative
-        sums (sequential adds, identical doubles), every flushed total
-        is jumped with one ``try_jump(total, 1)`` — the same clock adds
-        and event counts as the evented flushes — and the account drain
-        performs the kernel's per-category adds per flush.  Stops early
-        when a jump refuses (the epoch then ends on that quantum's
-        crossing item with ``_pending_sum`` over the quantum, so the
-        caller's outer loop takes the evented flush).  Only called with
-        no audit tick hook and ``_stolen_sum == 0``, so internal flushes
-        never fold stolen time and are never observed mid-commit.
-        """
-        engine = self.engine
-        equeue = engine._queue
-        try_jump = engine.try_jump
-        busy_arr = plan.busy_think
-        pending = self._pending
-        acct_times = self.acct.times
-        chain_seed = self._pending_sum
-        po_seed = pending["other"]
-        pt = pending["tlb"]
-        mi = 0
-        drained = False  # other categories drained at first flush yet?
-        a = 0
-        while True:
-            rem = valid - a
-            bts = busy_arr[i + a:i + valid]
-            m_rel = [m - a for m in miss_offs[mi:]]
-            if m_rel:
-                moffs = np.asarray(m_rel, dtype=np.int64)
-                seq = np.insert(bts, moffs, tlb_miss)
-                cum = np.cumsum(np.concatenate(((chain_seed,), seq)))
-                ar = np.arange(rem)
-                end_vals = cum[
-                    1 + ar + np.searchsorted(moffs, ar, side="right")
-                ]
-            elif chain_seed == 0.0:
-                # cumsum's internal accumulator starts at 0.0, like the
-                # kernel's chain after a flush.
-                end_vals = np.cumsum(bts)
-            else:
-                end_vals = np.cumsum(
-                    np.concatenate(((chain_seed,), bts))
-                )[1:]
-            k = int(
-                np.searchsorted(end_vals, FLUSH_QUANTUM_PCYCLES, side="left")
-            )
-            if k >= rem:
-                # Tail quantum: the run ends before the next crossing.
-                n_mq = len(m_rel)
-                chain_end = float(end_vals[rem - 1])
-                if n_mq or po_seed != chain_seed:
-                    po_end = float(
-                        np.cumsum(np.concatenate(((po_seed,), bts)))[-1]
-                    )
-                else:
-                    # No interleaved walk charges and numerically equal
-                    # seeds: the chains coincide at every step.
-                    po_end = chain_end
-                for _ in range(n_mq):
-                    pt += tlb_miss
-                pending["other"] = po_end
-                pending["tlb"] = pt
-                self._pending_sum = chain_end
-                return valid
-            total = float(end_vals[k])
-            n_mq = bisect_right(m_rel, k)
-            if n_mq or po_seed != chain_seed:
-                po_end = float(
-                    np.cumsum(
-                        np.concatenate(
-                            ((po_seed,), busy_arr[i + a:i + a + k + 1])
-                        )
-                    )[-1]
-                )
-            else:
-                po_end = total
-            for _ in range(n_mq):
-                pt += tlb_miss
-            mi += n_mq
-            if (
-                equeue and equeue[0][0] <= engine._now + total
-            ) or not try_jump(total, 1):
-                # Contended flush: end the epoch on this quantum's
-                # crossing item, leaving the per-category chains exactly
-                # where the kernel would have them, and let the caller's
-                # outer loop flush through the event queue.
-                pending["other"] = po_end
-                pending["tlb"] = pt
-                self._pending_sum = total
-                return a + k + 1
-            # Jumped flush: drain with the kernel's adds.
-            if not drained:
-                for cat, pv in pending.items():
-                    if pv and cat != "other" and cat != "tlb":
-                        acct_times[cat] += pv
-                        pending[cat] = 0.0
-                drained = True
-            if po_end:
-                acct_times["other"] += po_end
-            if pt:
-                acct_times["tlb"] += pt
-            po_seed = 0.0
-            pt = 0.0
-            chain_seed = 0.0
-            a += k + 1
-            if a >= valid:
-                # The crossing fell on the last item: the epoch ends
-                # freshly flushed.
-                pending["other"] = 0.0
-                pending["tlb"] = 0.0
-                self._pending_sum = 0.0
-                return valid
+    def run_epochs(
+        self, trace: Any, proc: int, page_base: int
+    ) -> Generator[Event, Any, None]:
+        """Former name of :meth:`run_compiled`, kept because the
+        benchmark's layer map (``perfbench/layers.py``) still names it as
+        a ``hw.cpu`` entry point.  Nothing in the simulator calls it."""
+        return self.run_compiled(trace, proc, page_base)
 
     def _visit(
         self, page: int, n_reads: int, n_writes: int, think: float

@@ -31,11 +31,18 @@ class CacheChannel:
     """One WDM cache channel: delay-line page storage for one owner node."""
 
     def __init__(
-        self, engine: Engine, cfg: SimConfig, owner: int, index: Optional[int] = None
+        self,
+        engine: Engine,
+        cfg: SimConfig,
+        owner: int,
+        index: Optional[int] = None,
+        ring: Optional["OpticalRing"] = None,
     ) -> None:
         self.engine = engine
         self.cfg = cfg
         self.owner = owner
+        #: the ring whose occupancy high-water mark this channel feeds
+        self.ring = ring
         #: global channel number on the ring (= owner when one per node)
         self.index = owner if index is None else index
         self.capacity = cfg.ring_slots_per_channel
@@ -138,6 +145,11 @@ class CacheChannel:
         self._reserved -= 1
         self._pages[page] = self.engine.now % self.round_trip
         self.stats.add("insertions")
+        ring = self.ring
+        if ring is not None:
+            ring._stored += 1
+            if ring._stored > ring.stored_peak:
+                ring.stored_peak = ring._stored
 
     def contains(self, page: int) -> bool:
         """True if ``page`` is circulating on this channel."""
@@ -149,6 +161,8 @@ class CacheChannel:
             raise KeyError(f"channel {self.owner}: page {page} not stored")
         del self._pages[page]
         self.stats.add("removals")
+        if self.ring is not None:
+            self.ring._stored -= 1
         if self._slot_waiters and self.has_room():
             self._reserved += 1
             self._slot_waiters.popleft().succeed()
@@ -196,8 +210,15 @@ class OpticalRing:
         self.engine = engine
         self.cfg = cfg
         self.per_node = cfg.ring_channels // cfg.n_nodes
+        #: pages stored across all channels, kept by the channels'
+        #: insert/remove so the high-water mark costs O(1) per insertion
+        self._stored = 0
+        #: most pages ever stored on the ring at once
+        self.stored_peak = 0
         self.channels: List[CacheChannel] = [
-            CacheChannel(engine, cfg, owner=i // self.per_node, index=i)
+            CacheChannel(
+                engine, cfg, owner=i // self.per_node, index=i, ring=self
+            )
             for i in range(cfg.ring_channels)
         ]
         #: set by the fault injector when any optical fault mode is

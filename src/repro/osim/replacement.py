@@ -23,15 +23,6 @@ class ReplacementPolicy(abc.ABC):
 
     name = ""
 
-    #: True when a run of touches to a set of pages is equivalent to one
-    #: ``touch`` per distinct page in last-touch order.  Holds for LRU
-    #: (only the final position matters), FIFO (touch is a no-op), and
-    #: clock (the reference bit is idempotent) — the epoch executor
-    #: (see ``Cpu._epoch_step``) batches touches this way, so the
-    #: machine only enables epochs when every policy declares it.
-    #: Out-of-tree policies inherit False and keep the per-item path.
-    epoch_touch_safe = False
-
     @abc.abstractmethod
     def insert(self, page: int) -> None:
         """A page became resident on this node."""
@@ -63,7 +54,6 @@ class LruPolicy(ReplacementPolicy):
     """Exact LRU via an ordered dict (oldest first)."""
 
     name = "lru"
-    epoch_touch_safe = True
 
     def __init__(self) -> None:
         self._pages: "OrderedDict[int, None]" = OrderedDict()
@@ -96,7 +86,6 @@ class FifoPolicy(ReplacementPolicy):
     """Evict in arrival order; accesses never refresh."""
 
     name = "fifo"
-    epoch_touch_safe = True
 
     def __init__(self) -> None:
         self._pages: "OrderedDict[int, None]" = OrderedDict()
@@ -133,7 +122,6 @@ class ClockPolicy(ReplacementPolicy):
     """
 
     name = "clock"
-    epoch_touch_safe = True
 
     def __init__(self) -> None:
         self._pages: "OrderedDict[int, bool]" = OrderedDict()  # page -> ref bit

@@ -70,8 +70,8 @@ def state_fingerprint(machine: Machine) -> str:
     (so two runs with equal fingerprints at every checkpoint cannot
     produce different results) while excluding the quantities that are
     deliberately outside the bit-identity contract: ``events_jumped``
-    and the ``epoch_*`` profiler counters, which measure *how* the
-    trajectory was executed, not the trajectory itself.
+    (surfaced as the ``epoch_events_jumped`` extra), which measures
+    *how* the trajectory was executed, not the trajectory itself.
     """
     m = machine.metrics
     payload: Dict[str, Any] = {

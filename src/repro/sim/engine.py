@@ -11,13 +11,10 @@ Table 1 of the paper), but the kernel itself is unit-agnostic floats.
 
 from __future__ import annotations
 
-import os
-from functools import partial
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Any, Generator, Iterable, List, Optional, Tuple
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
@@ -25,20 +22,6 @@ from repro.sim.process import Process
 NORMAL = 1
 #: Priority used so that freshly-triggered (delay 0) events keep FIFO order.
 URGENT = 0
-
-#: Recognized values of the ``NWCACHE_ENGINE`` scheduler selector.
-ENGINE_MODES = ("heap", "calendar")
-
-
-def _engine_mode() -> str:
-    """Scheduler selected by ``NWCACHE_ENGINE`` (default: binary heap)."""
-    mode = os.environ.get("NWCACHE_ENGINE", "heap").strip().lower() or "heap"
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"NWCACHE_ENGINE={mode!r}: expected one of {ENGINE_MODES}"
-        )
-    return mode
-
 
 class EmptySchedule(Exception):
     """Raised by :meth:`Engine.step` when the event queue is exhausted."""
@@ -65,27 +48,15 @@ class Engine:
     """
 
     __slots__ = (
-        "_now", "_queue", "_push", "_eid", "events_processed",
+        "_now", "_queue", "_eid", "events_processed",
         "events_jumped", "_tick_hook", "_tick_every", "_tick_left",
         "_limit", "_multi_dispatch",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        # NWCACHE_ENGINE selects the event-list structure: the default
-        # binary heap, or the bucketed calendar queue (identical pop
-        # order — see repro.sim.calendar).  Producers schedule through
-        # self._push, bound once here so the hot trigger paths pay one
-        # attribute load either way; consumers peek through the shared
-        # list-shaped surface (queue[0][0] / truthiness).
-        if _engine_mode() == "calendar":
-            calendar: CalendarQueue = CalendarQueue()
-            self._queue: Union[List[Tuple[float, int, int, Event]], CalendarQueue] = calendar
-            self._push = calendar.push
-        else:
-            heap: List[Tuple[float, int, int, Event]] = []
-            self._queue = heap
-            self._push = partial(heappush, heap)
+        #: binary heap of ``(time, priority, eid, event)`` entries
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
         #: number of events processed so far (useful for perf reporting)
         self.events_processed = 0
@@ -156,7 +127,9 @@ class Engine:
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Insert a triggered event into the queue (internal)."""
-        self._push((self._now + delay, priority, next(self._eid), event))
+        heappush(
+            self._queue, (self._now + delay, priority, next(self._eid), event)
+        )
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -165,7 +138,7 @@ class Engine:
     def try_jump(self, delay: float, n_events: int = 1) -> bool:
         """Advance the clock by ``delay`` without dispatching any events.
 
-        This is the epoch executor's entry point into the kernel: when a
+        This is the compiled CPU path's entry point into the kernel: when a
         process can prove that the next ``n_events`` events it would
         schedule are uncontended — nothing else in the machine is due to
         run at or before their firing time — the whole exchange collapses
@@ -207,12 +180,8 @@ class Engine:
 
     def step(self) -> None:
         """Process exactly one event; raise :class:`EmptySchedule` if none."""
-        queue = self._queue
         try:
-            if type(queue) is list:
-                when, _prio, _eid, event = heappop(queue)
-            else:
-                when, _prio, _eid, event = queue.pop()
+            when, _prio, _eid, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
         self._now = when
@@ -271,10 +240,9 @@ class Engine:
         # The drain loop below inlines step(): one bound-method call and
         # two attribute loads per event add up over multi-million-event
         # runs, so the queue and its pop are bound to locals and the
-        # processed count is flushed back on exit.  Both event-list
-        # structures are popped through the same pop(queue) shape.
+        # processed count is flushed back on exit.
         queue = self._queue
-        pop = heappop if type(queue) is list else type(queue).pop
+        pop = heappop
         processed = 0
         if until is None:
             try:

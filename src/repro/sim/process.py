@@ -12,6 +12,7 @@ join them.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.events import _NORMAL, Event
@@ -40,7 +41,7 @@ def _kick(
     kick._ok = ok
     kick._processed = False
     kick._defused = defused
-    engine._push((engine._now, _NORMAL, next(engine._eid), kick))
+    heappush(engine._queue, (engine._now, _NORMAL, next(engine._eid), kick))
 
 
 class Interrupt(Exception):

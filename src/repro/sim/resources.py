@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from heapq import heappush
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, List, Optional
 
@@ -129,7 +130,7 @@ class Resource:
             # req.succeed(), inlined: a fresh Request cannot have been
             # triggered, so the guard and the value write collapse.
             req._value = None
-            engine._push((now, _NORMAL, next(engine._eid), req))
+            heappush(engine._queue, (now, _NORMAL, next(engine._eid), req))
         else:
             req._key = (priority, next(self._ticket))
             insort(self.queue, req, key=_request_key)

@@ -85,6 +85,55 @@ def tiny_machine(
     return Machine(cfg, system=system, prefetch=prefetch)
 
 
+#: the one extra only the compiled path publishes: it counts the heap
+#: events the clock jumps replaced, i.e. how the run was executed
+JUMPED = "epoch_events_jumped"
+
+
+def _fields(obj):
+    """A stats object's exact field values (their reprs round)."""
+    slots = getattr(type(obj), "__slots__", ())
+    return {name: getattr(obj, name) for name in slots} if slots else obj
+
+
+def result_snapshot(res) -> str:
+    """Everything a :class:`RunResult` says about the simulated machine,
+    bit for bit: every field, metrics tallies and per-CPU accounts
+    included, minus the compiled path's jump counter."""
+    d = dict(vars(res))
+    d["metrics"] = {k: _fields(v) for k, v in vars(res.metrics).items()}
+    d["combining"] = _fields(res.combining)
+    d["per_cpu"] = [_fields(a) for a in res.per_cpu]
+    d["extras"] = {k: v for k, v in res.extras.items() if k != JUMPED}
+    return repr(d)
+
+
+def assert_paths_identical(generator, compiled) -> None:
+    """The compiled path's contract: its result is the generator
+    path's, bit for bit; only the jump counter tells them apart."""
+    assert JUMPED not in generator.extras
+    assert JUMPED in compiled.extras
+    assert result_snapshot(generator) == result_snapshot(compiled)
+
+
+def run_both_paths(
+    system: str = "standard",
+    cfg_kwargs: Optional[dict] = None,
+    workload=SyntheticWorkload,
+    **wl_kwargs,
+):
+    """Run one workload on a tiny machine through the generator path
+    and the compiled path; assert bit-identical results and return the
+    compiled run's."""
+    results = {}
+    for compiled in (False, True):
+        cfg = SimConfig.tiny(**(cfg_kwargs or {}))
+        machine = Machine(cfg, system=system, compiled_traces=compiled)
+        results[compiled] = machine.run(workload(**wl_kwargs))
+    assert_paths_identical(results[False], results[True])
+    return results[True]
+
+
 @pytest.fixture
 def make_machine():
     return tiny_machine

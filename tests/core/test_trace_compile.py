@@ -10,7 +10,10 @@ import pytest
 
 from repro.apps import APP_NAMES, make_app
 from repro.core.runner import linear_scale
+from repro.core.cache import CORRUPT_DIR, read_envelope, write_envelope
 from repro.core.trace import (
+    _TRACE_MAGIC,
+    TRACE_FORMAT_VERSION,
     CompiledTrace,
     KIND_BARRIER,
     KIND_VISIT,
@@ -196,6 +199,32 @@ def test_trace_cache_rejects_corrupt_and_foreign_entries(tmp_path):
     stale.version = -1
     cache.put(key, stale)
     assert cache.get(key) is None  # format version mismatch
+
+
+def test_previous_format_entry_is_recompiled_not_loaded(tmp_path):
+    """An entry written by the previous trace format (v3 carried a
+    ``reuse`` column) is quarantined and recompiled, never replayed."""
+    cache = TraceCache(tmp_path)
+    app = app_at_scale("sor")
+    key = trace_key(app, 4, SEED)
+    old = compile_workload(app, 4, SEED)
+    old.version = TRACE_FORMAT_VERSION - 1
+    old.reuse = [k.astype("int64") for k in old.kinds]
+    write_envelope(cache._path(key), _TRACE_MAGIC, old.version, old)
+    clear_memo()
+    try:
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            trace = get_trace(app, 4, SEED, cache=cache)
+    finally:
+        clear_memo()
+    assert trace is not old
+    assert trace.version == TRACE_FORMAT_VERSION
+    assert not hasattr(trace, "reuse")
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert list((tmp_path / CORRUPT_DIR).iterdir())  # old file set aside
+    stored = read_envelope(cache._path(key), _TRACE_MAGIC,
+                           TRACE_FORMAT_VERSION)
+    assert stored.version == TRACE_FORMAT_VERSION
 
 
 def test_kill_switch_disables_default_cache(monkeypatch, tmp_path):

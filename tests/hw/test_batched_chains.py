@@ -1,153 +1,28 @@
-"""Batched fault/ring chains: when they commit, and why they refuse.
+"""Cold fault chains under the compiled path's clock jumps.
 
-``Cpu._batched_fault`` collapses an uncontended ABSENT-page fault —
-TLB miss, frame grab, controller service, bus crossings, install — into
-proven clock jumps; ``Cpu._batched_ring`` does the same for a RING
-snoop (drain-FIFO claim, ring alignment, two bus crossings).  Both obey
-one contract: **commit only what is provably identical to the evented
-kernel, refuse everything else untouched** — and profile every refusal
-as frame *pressure* or jump-*window* contention.
-
-Ring chains deserve a constructed-state test: a page is only ever on
-the ring right after an eviction, and evictions only happen at the
-frame-pool watermark, so in organic runs the pressure guard fires
-before a ring chain can ever commit.  The commit path is driven here by
-injecting synthetic free frames at exactly the bail point.
+On a node whose frame pool never reaches its watermark nearly every
+miss is a cold fault, and every step of its resolve chain — TLB miss,
+frame grab, controller service, bus crossings, install — is a wait the
+compiled path may jump.  Transient disk faults land mid-chain.
 """
 
-import pytest
-
-from repro.apps import make_app
-from repro.config import SimConfig
-from repro.core.machine import Machine
 from repro.core.runner import experiment_config, run_experiment
-from repro.hw.cpu import Cpu
-
-SCALE = 0.05
+from tests.conftest import JUMPED, assert_paths_identical
 
 
-def _snapshot(res):
-    d = dict(vars(res))
-    d.pop("metrics", None)
-    d["extras"] = {
-        k: v for k, v in res.extras.items() if not k.startswith("epoch_")
-    }
-    return repr(d)
-
-
-# ------------------------------------------------------------ fault chains
-@pytest.fixture(scope="module")
-def faultheavy_pair():
-    """The regime where batched faults win: one node, memory so large
-    the pool never reaches its watermark, transient disk faults landing
-    mid-run (same shape as the fault-heavy bench cell)."""
-    cfg = experiment_config(
-        0.3, n_nodes=1, n_io_nodes=1, memory_per_node=1048576
-    )
+def test_fault_chains_preserve_bit_identity():
+    scale = 0.3
     kwargs = dict(
         system="nwcache",
         prefetch="optimal",
-        data_scale=0.3,
-        cfg=cfg,
+        data_scale=scale,
+        cfg=experiment_config(
+            scale, n_nodes=1, n_io_nodes=1, memory_per_node=1048576
+        ),
         faults="disk_transient_rate=0.01",
     )
-    base = run_experiment("zipf", epoch_exec=False, **kwargs)
-    fast = run_experiment("zipf", epoch_exec=True, **kwargs)
-    return base, fast
-
-
-def test_fault_chains_commit_in_cold_low_pressure_runs(faultheavy_pair):
-    _, fast = faultheavy_pair
-    assert fast.extras["epoch_fault_jumps"] > 0
-    assert fast.extras["epoch_events_jumped"] > 0
-
-
-def test_fault_chains_preserve_bit_identity(faultheavy_pair):
-    base, fast = faultheavy_pair
-    assert _snapshot(base) == _snapshot(fast)
+    base = run_experiment("zipf", compiled_traces=False, **kwargs)
+    fast = run_experiment("zipf", compiled_traces=True, **kwargs)
+    assert_paths_identical(base, fast)
     assert base.events_processed == fast.events_processed
-
-
-def test_contended_runs_profile_pressure_refusals():
-    """Under real memory pressure the chains bail — and say why."""
-    cfg = experiment_config(
-        SCALE, memory_per_node=16384, l2_resident_pages=4
-    )
-    res = run_experiment("zipf", "nwcache", "naive", data_scale=SCALE,
-                         cfg=cfg, epoch_exec=True)
-    assert res.extras["epoch_fault_blocked_pressure"] > 0
-    # refusing is free of observable effect: the evented path ran instead
-    base = run_experiment("zipf", "nwcache", "naive", data_scale=SCALE,
-                          cfg=cfg, epoch_exec=False)
-    assert _snapshot(base) == _snapshot(res)
-
-
-def test_blocked_counters_start_at_zero():
-    cfg = SimConfig.tiny()
-    machine = Machine(cfg, "nwcache", "naive")
-    for cpu in machine.cpus:
-        assert cpu.epoch_fault_blocked_pressure == 0
-        assert cpu.epoch_fault_blocked_window == 0
-        assert cpu.epoch_fault_jumps == 0
-        assert cpu.epoch_ring_jumps == 0
-
-
-# ------------------------------------------------------------- ring chains
-class _Committed(Exception):
-    """Raised by the spy to stop the run right after the forced commit
-    (the synthetic frames make the rest of the trajectory meaningless)."""
-
-
-def test_ring_chain_commits_with_constructed_free_pool(monkeypatch):
-    """Drive ``_batched_ring`` through its commit path.
-
-    Organic runs cannot reach it (see module doc), so at the first
-    refusal the spy injects enough synthetic free frames to clear the
-    pressure guards and re-invokes.  The commit must then update the
-    full observable surface in kernel order: chain counter, fault +
-    ring-hit metrics, TLB fill, and residency of the snooped page.
-    """
-    orig = Cpu._batched_ring
-    seen = {"attempts": 0}
-
-    def spy(self, g, ent, wr, v, na, *rest):
-        out = orig(self, g, ent, wr, v, na, *rest)
-        if out is not None:  # pragma: no cover - organic commit
-            raise _Committed
-        seen["attempts"] += 1
-        pool = self.vm.pools[self.node]
-        counts_before = dict(self.vm.metrics.counts.as_dict())
-        jumps_before = self.epoch_ring_jumps
-        injected = [10_000 + i for i in range(pool.min_free + 3)]
-        pool._free.extend(injected)
-        try:
-            out = orig(self, g, ent, wr, v, na, *rest)
-        finally:
-            for frame in injected:
-                try:
-                    pool._free.remove(frame)
-                except ValueError:
-                    pass  # consumed by the commit
-        if out is None:
-            # a window blocker (busy bus, queued event) still held;
-            # keep running until a pressure-only refusal shows up
-            return None
-        assert self.epoch_ring_jumps == jumps_before + 1
-        counts = self.vm.metrics.counts.as_dict()
-        assert counts["faults"] == counts_before.get("faults", 0) + 1
-        assert counts["ring_hits"] == counts_before.get("ring_hits", 0) + 1
-        assert ent.dirty  # ring copies re-enter memory dirty
-        assert g in self.vm.tlbs[self.node]._entries
-        assert g in self.cache._resident
-        assert len(out) == 6 and all(x >= 0.0 for x in out)
-        seen["committed"] = True
-        raise _Committed
-
-    monkeypatch.setattr(Cpu, "_batched_ring", spy)
-    cfg = SimConfig(seed=7, l2_resident_pages=4, memory_per_node=32768)
-    machine = Machine(cfg, "nwcache", "naive", epoch_exec=True)
-    with pytest.raises(_Committed):
-        machine.run(make_app("zipf", scale=SCALE))
-    assert seen.get("committed"), (
-        f"no ring chain committed in {seen['attempts']} forced attempts"
-    )
+    assert fast.extras[JUMPED] > 0

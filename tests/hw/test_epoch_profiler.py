@@ -1,120 +1,32 @@
-"""The epoch-rejection profiler: every refused epoch is accounted for.
+"""The compiled path's jump profile describes execution, not the machine.
 
-``Machine._collect`` publishes an ``epoch_*`` extras block whenever the
-epoch executor ran: how many epochs were attempted, how many were
-accepted, and — per :data:`~repro.hw.cpu.EPOCH_REJECT_REASONS` — why
-each rejected one stayed evented, plus the batched fault/ring chain
-blocked-counters (frame *pressure* vs jump-*window* contention).  The
-profiler's contract has two halves:
-
-* **conservation** — ``attempted == accepted + sum(rejected by
-  reason)``: no epoch vanishes unprofiled, and no reason double-counts;
-* **strategy-only** — the block describes how the simulation was
-  *executed*, never what it simulated: it is absent with epochs off and
-  excluded from every bit-identity snapshot.
-
-The open-loop apps are the interesting subjects because their arrival
-events land *inside* fault-resolution windows, exercising the rejection
-paths far harder than the barrier-phased kernels do.
+A compiled run publishes one execution-strategy extra,
+``epoch_events_jumped``: how many of the run's events were clock jumps
+rather than heap events.  It is absent whenever the generator path ran,
+and it is the only extra the two paths disagree on, so every
+bit-identity snapshot strips exactly that key and nothing else.
 """
 
-import pytest
-
-from repro.apps import make_app
-from repro.apps.openloop import StationaryWorkload, TraceDrivenWorkload, save_request_schedule
-from repro.config import SimConfig
-from repro.core.machine import Machine
 from repro.core.runner import run_experiment
-from repro.hw.cpu import EPOCH_REJECT_REASONS
+from tests.conftest import JUMPED
 
 SCALE = 0.05
-OPENLOOP = ["zipf", "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d"]
-
-#: counters that must be present (and consistent) whenever epochs ran
-PROFILE_KEYS = (
-    "epoch_attempted",
-    "epoch_accepted",
-    "epoch_rejected",
-    "epoch_items",
-    "epoch_batches",
-    "epoch_events_jumped",
-    "epoch_fault_jumps",
-    "epoch_ring_jumps",
-    "epoch_fault_blocked_pressure",
-    "epoch_fault_blocked_window",
-)
 
 
-def assert_profile_invariants(extras):
-    """The conservation law + shape checks on one run's extras."""
-    for key in PROFILE_KEYS:
-        assert key in extras, f"missing {key}"
-        assert extras[key] >= 0.0
-        assert isinstance(extras[key], float)  # survives JSON round-trips
-    by_reason = {}
-    for reason in EPOCH_REJECT_REASONS:
-        key = f"epoch_rejected_{reason}"
-        assert key in extras, f"missing {key}"
-        assert extras[key] >= 0.0
-        by_reason[reason] = extras[key]
-    assert extras["epoch_rejected"] == (
-        extras["epoch_attempted"] - extras["epoch_accepted"]
-    )
-    assert extras["epoch_attempted"] == extras["epoch_accepted"] + sum(
-        by_reason.values()
-    ), f"unprofiled rejections: {by_reason}"
-    assert extras["epoch_accepted"] <= extras["epoch_attempted"]
-
-
-@pytest.mark.parametrize("app", OPENLOOP)
-def test_openloop_rejection_profile_conserves(app):
-    res = run_experiment(app, "nwcache", "naive", data_scale=SCALE,
-                         epoch_exec=True)
-    assert_profile_invariants(res.extras)
-    # open-loop apps at this scale genuinely attempt epochs
-    assert res.extras["epoch_attempted"] > 0
-
-
-@pytest.mark.parametrize("app", ["zipf", "ycsb-a"])
-def test_contended_profile_conserves(app):
-    """A resident window far below the working set maximizes rejections
-    — the conservation law must hold when nearly everything bounces."""
-    cfg = SimConfig(seed=11, l2_resident_pages=4)
-    res = run_experiment(app, "nwcache", "naive", data_scale=SCALE,
-                         cfg=cfg, epoch_exec=True)
-    assert_profile_invariants(res.extras)
-    assert res.extras["epoch_rejected"] > 0
-
-
-def test_trace_replay_profile_conserves(tmp_path):
-    """The trace-driven open-loop app profiles like its generator."""
-    wl = StationaryWorkload(scale=SCALE)
-    path = tmp_path / "schedule.txt"
-    save_request_schedule(wl, 8, str(path), seed=SimConfig().seed)
-    td = TraceDrivenWorkload(
-        str(path), warmup=wl.warmup, catalog_pages=wl.total_pages
-    )
-    res = Machine(SimConfig(), "nwcache", "naive", epoch_exec=True).run(td)
-    assert_profile_invariants(res.extras)
-    assert res.extras["epoch_attempted"] > 0
-
-
-def test_profile_absent_with_epochs_off():
-    res = run_experiment("zipf", "nwcache", "naive", data_scale=SCALE,
-                         epoch_exec=False)
+def test_profile_absent_with_epochs_off(monkeypatch):
+    monkeypatch.setenv("NWCACHE_COMPILED_TRACES", "0")
+    res = run_experiment("zipf", "nwcache", "naive", data_scale=SCALE)
     assert not any(k.startswith("epoch_") for k in res.extras)
 
 
 def test_profile_is_the_only_extras_difference():
-    """Epochs on vs off: stripping ``epoch_*`` makes extras identical —
-    i.e. the snapshot idiom used by the bit-identity suites strips
-    exactly the right keys and nothing else differs."""
     base = run_experiment("ycsb-b", "nwcache", "naive", data_scale=SCALE,
-                          epoch_exec=False)
+                          compiled_traces=False)
     fast = run_experiment("ycsb-b", "nwcache", "naive", data_scale=SCALE,
-                          epoch_exec=True)
-    stripped = {
-        k: v for k, v in fast.extras.items() if not k.startswith("epoch_")
-    }
+                          compiled_traces=True)
+    assert set(fast.extras) - set(base.extras) == {JUMPED}
+    stripped = {k: v for k, v in fast.extras.items() if k != JUMPED}
     assert stripped == base.extras
-    assert stripped != fast.extras  # the profile was actually published
+    # jumps stand in for heap events, so they are counted among them
+    assert 0 < fast.extras[JUMPED] <= fast.events_processed
+    assert fast.events_processed == base.events_processed

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.apps import make_app
 from repro.config import SimConfig
+from repro.core.machine import Machine
+from repro.core.runner import experiment_config, linear_scale
 from repro.optical.ring import CacheChannel, OpticalRing
 from repro.sim import Engine
 
@@ -179,3 +182,32 @@ def test_ring_find_and_total(cfg):
     assert ring.total_stored == 1
     assert ring.find(55) is ring.channel_of(2)
     assert ring.find(56) is None
+
+
+def test_stored_peak_is_the_ring_wide_high_water_mark(cfg):
+    eng = Engine()
+    ring = OpticalRing(eng, cfg)
+
+    def go():
+        for node, page in ((0, 10), (1, 11), (1, 12)):
+            ch = ring.channel_of(node)
+            yield ch.reserve_slot()
+            ch.insert(page)
+        ring.channel_of(1).remove(11)
+        ring.channel_of(0).remove(10)
+
+    eng.process(go())
+    eng.run()
+    assert ring.stored_peak == 3
+    assert ring.total_stored == 1
+
+
+def test_ring_stored_peak_extra_on_a_ring_hitting_run():
+    machine = Machine(experiment_config(0.1), system="nwcache",
+                      prefetch="naive")
+    res = machine.run(make_app("sor", scale=linear_scale("sor", 0.1)))
+    assert res.metrics.counts["ring_hits"] > 0
+    peak = res.extras["ring_stored_peak"]
+    assert peak > 0
+    assert peak >= machine.ring.total_stored
+    assert peak <= machine.cfg.ring_channels * machine.cfg.ring_slots_per_channel

@@ -1,12 +1,19 @@
-"""Property: epoch execution never changes a result, only its speed.
+"""Property: the compiled path never changes a result, only its speed.
 
-``Cpu.run_epochs`` batches provably non-interacting runs of trace items
-into vectorized steps.  The executor's whole correctness contract is
-that this is unobservable — for any application, system, data scale,
-RNG seed, and fault schedule, the :class:`RunResult` must be
-*bit-identical* to the pure event kernel's.  Hypothesis drives the
-sampling; the fixed equivalence matrix in the regression tier pins the
-named configurations.
+``Cpu.run_compiled`` replays a compiled trace with the per-item work
+inlined and every uncontended wait collapsed into a clock jump
+(``Engine.try_jump`` and the pipes' ``try_jump_transfer``), and turns on
+the same jumps in the VM fault, swap-out and controller paths.  Its
+whole correctness contract is that this is unobservable: for any
+application, system, data scale, RNG seed, and fault schedule, the
+:class:`RunResult` must be *bit-identical* to the generator path's,
+which runs every wait through the event queue.  Hypothesis drives the
+sampling; ``tests/hw/test_epoch_boundaries.py`` constructs the machine
+states in which a jump is most likely to be wrongly granted.
+
+The test names keep the word "epochs" from the batched epoch executor
+the compiled path replaced; its jump counter is still published as the
+``epoch_events_jumped`` extra.
 """
 
 from hypothesis import given, settings
@@ -15,22 +22,11 @@ from hypothesis import strategies as st
 from repro.apps import APP_NAMES
 from repro.config import SimConfig
 from repro.core.runner import run_experiment
-
-
-def _snapshot(res):
-    d = dict(vars(res))
-    d.pop("metrics", None)  # wall-clock noise lives there
-    # The epoch-rejection profile describes the *execution strategy*,
-    # not the simulated machine: present only when epochs ran, and
-    # excluded from the bit-identity contract.
-    d["extras"] = {
-        k: v for k, v in res.extras.items() if not k.startswith("epoch_")
-    }
-    return repr(d)
+from tests.conftest import assert_paths_identical
 
 
 @given(
-    app=st.sampled_from(sorted(APP_NAMES)),
+    app=st.sampled_from(sorted(APP_NAMES) + ["zipf", "ycsb-a"]),
     system=st.sampled_from(["standard", "nwcache"]),
     scale=st.sampled_from([0.02, 0.05, 0.08]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -44,12 +40,12 @@ def test_epochs_on_off_bit_identical(app, system, scale, seed, faults):
         cfg=SimConfig(seed=seed),
     )
     if faults:
-        # Transient disk faults land at event boundaries mid-run; the
-        # epoch validator must re-prove its runs around the damage.
+        # Transient disk faults land at event boundaries mid-run; every
+        # jump after them must still see an empty window.
         kwargs["faults"] = "disk_transient_rate=0.01"
-    base = run_experiment(app, epoch_exec=False, **kwargs)
-    fast = run_experiment(app, epoch_exec=True, **kwargs)
-    assert _snapshot(base) == _snapshot(fast)
+    base = run_experiment(app, compiled_traces=False, **kwargs)
+    fast = run_experiment(app, compiled_traces=True, **kwargs)
+    assert_paths_identical(base, fast)
 
 
 @given(
@@ -67,9 +63,8 @@ def test_eviction_dominated_epochs_bit_identical(
 ):
     """The contended regime: a resident window far smaller than the
     working set makes nearly every visit an eviction-and-fetch, so the
-    batched path spends the run re-proving jump chains against live
-    swap traffic — with disk faults or failed ring channels landing
-    mid-epoch when the fault schedule says so."""
+    jumps race live swap traffic — with disk faults or failed ring
+    channels landing mid-run when the fault schedule says so."""
     kwargs = dict(
         system=system,
         data_scale=0.05,
@@ -77,6 +72,6 @@ def test_eviction_dominated_epochs_bit_identical(
     )
     if faults:
         kwargs["faults"] = faults
-    base = run_experiment(app, epoch_exec=False, **kwargs)
-    fast = run_experiment(app, epoch_exec=True, **kwargs)
-    assert _snapshot(base) == _snapshot(fast)
+    base = run_experiment(app, compiled_traces=False, **kwargs)
+    fast = run_experiment(app, compiled_traces=True, **kwargs)
+    assert_paths_identical(base, fast)

@@ -1,13 +1,11 @@
-"""The calendar-queue event list and the ``NWCACHE_ENGINE`` selector.
+"""The engine's event calendar: one heap, one total order.
 
-:class:`repro.sim.calendar.CalendarQueue` replaces the engine's binary
-heap with time-bucketed sorted lists.  Its one non-negotiable property
-is *total-order fidelity*: for any push/pop interleaving the pop
-sequence must match the heap's exactly (the engine's bit-identity
-contract does not bend for a scheduler swap).  The width-adaptation
-machinery — overflow-triggered rebuilds, the doubling backoff for
-unsplittable same-instant masses — must preserve that order through
-every rebucket.
+Events reach the engine's future-event list from three push sites —
+:meth:`Engine._schedule`, and the inlined pushes in :class:`Timeout`
+and :meth:`Event.succeed` — and the engine pops them straight off the
+binary heap.  Whatever the mix of sites, the dispatch order must be the
+total order ``(time, priority, insertion order)``: that order is what
+makes every run reproducible bit for bit.
 """
 
 import heapq
@@ -15,26 +13,23 @@ import random
 
 import pytest
 
-from repro.config import SimConfig
-from repro.core.runner import run_experiment
 from repro.sim import Engine
-from repro.sim.calendar import _MAX_BUCKET, CalendarQueue
-from repro.sim.engine import ENGINE_MODES, _engine_mode
+from repro.sim.engine import NORMAL, URGENT
 
 
-def _drain(q):
-    out = []
-    while q:
-        out.append(q.pop())
-    return out
-
-
-def _items(n, rng, span=1e6):
-    # eids unique and increasing, like the engine's counter
-    return [
-        (rng.uniform(0.0, span), rng.choice((0, 1, 2)), eid, object())
-        for eid in range(n)
-    ]
+def _push(eng, rng, delay):
+    """Queue one event through a randomly chosen push site; return it
+    with its ``(time, priority)``."""
+    site = rng.randrange(3)
+    if site == 0:
+        return eng.timeout(delay), (eng.now + delay, NORMAL)
+    ev = eng.event()
+    if site == 1:
+        ev.succeed()
+        return ev, (eng.now, NORMAL)
+    ev._value = None  # triggered by hand, queued ahead of NORMAL peers
+    eng._schedule(ev, delay, URGENT)
+    return ev, (eng.now + delay, URGENT)
 
 
 # ------------------------------------------------------------ order fidelity
@@ -42,144 +37,63 @@ def _items(n, rng, span=1e6):
 @pytest.mark.parametrize("n", [1, 10, 1000])
 def test_pop_order_matches_heap(seed, n):
     rng = random.Random(seed)
-    items = _items(n, rng)
-    cal = CalendarQueue()
-    heap = []
-    for it in items:
-        cal.push(it)
-        heapq.heappush(heap, it)
-    expect = [heapq.heappop(heap) for _ in range(n)]
-    assert _drain(cal) == expect
+    eng = Engine()
+    keys, dispatched = [], []
+    for seq in range(n):
+        # few distinct times, so the priority and insertion-order
+        # tie-breaks decide most of the order
+        ev, (when, prio) = _push(eng, rng, float(rng.randrange(n // 4 + 1)))
+        key = (when, prio, seq)
+        keys.append(key)
+        ev.callbacks.append(lambda e, key=key: dispatched.append(key))
+    heapq.heapify(keys)
+    expect = [heapq.heappop(keys) for _ in range(n)]
+    eng.run()
+    assert dispatched == expect
+    assert eng.events_processed == n
 
 
 def test_interleaved_push_pop_matches_heap():
+    """Callbacks queue new events mid-run; every dispatch must be the
+    smallest key among the events queued at that moment."""
     rng = random.Random(42)
-    cal, heap = CalendarQueue(), []
-    eid = 0
-    for _ in range(5000):
-        if heap and rng.random() < 0.45:
-            assert cal.pop() == heapq.heappop(heap)
-        else:
-            # later pushes tend to be later in time, like a real run
-            when = (len(heap) + 1) * rng.uniform(0.5, 2.0)
-            item = (when, rng.choice((0, 1)), eid, None)
-            eid += 1
-            cal.push(item)
-            heapq.heappush(heap, item)
-    assert _drain(cal) == [heapq.heappop(heap) for _ in range(len(heap))]
+    eng = Engine()
+    ref = []
+    seq = 0
+    budget = 5000
+
+    def push():
+        nonlocal seq, budget
+        ev, (when, prio) = _push(eng, rng, rng.uniform(0.0, 50.0))
+        key = (when, prio, seq)
+        seq += 1
+        budget -= 1
+        heapq.heappush(ref, key)
+        ev.callbacks.append(lambda e: on_dispatch(key))
+
+    def on_dispatch(key):
+        assert heapq.heappop(ref) == key
+        assert eng.now == key[0]
+        for _ in range(rng.randrange(3) if budget > 0 else 0):
+            push()
+
+    for _ in range(50):
+        push()
+    eng.run()
+    assert not ref
+    assert eng.events_processed == seq > 4000
 
 
 def test_simultaneous_items_pop_in_eid_order():
-    cal = CalendarQueue()
-    for eid in (3, 1, 4, 0, 2):
-        cal.push((7.0, 0, eid, None))
-    assert [it[2] for it in _drain(cal)] == [0, 1, 2, 3, 4]
-
-
-# ------------------------------------------------------- list-shaped surface
-def test_peek_bool_len():
-    cal = CalendarQueue()
-    assert not cal and len(cal) == 0
-    cal.push((5.0, 0, 0, "a"))
-    cal.push((1.0, 0, 1, "b"))
-    assert cal and len(cal) == 2
-    assert cal[0][0] == 1.0  # the queue[0][0] peek idiom
-    assert cal.pop()[3] == "b"
-    assert cal[0][3] == "a"
-
-
-def test_empty_queue_errors():
-    cal = CalendarQueue()
-    with pytest.raises(IndexError):
-        cal.pop()
-    with pytest.raises(IndexError):
-        cal[0]
-    cal.push((1.0, 0, 0, None))
-    with pytest.raises(IndexError):
-        cal[1]  # head peek only
-
-
-# ---------------------------------------------------------- width adaptation
-def test_overflow_triggers_rebucket():
-    """One overfull bucket splits into many; order survives the rebuild."""
-    cal = CalendarQueue(width=1e9)  # everything lands in bucket 0
-    items = [(float(i), 0, i, None) for i in range(_MAX_BUCKET + 10)]
-    rng = random.Random(3)
-    rng.shuffle(items)
-    for it in items:
-        cal.push(it)
-    assert cal._width < 1e9
-    assert len(cal._buckets) > 1
-    assert _drain(cal) == sorted(items)
-
-
-def test_same_instant_mass_backs_off_instead_of_thrashing():
-    """A mass at one instant cannot be split by any width: the trigger
-    threshold doubles and the queue degrades to one sorted list."""
-    cal = CalendarQueue(width=16.0)
-    n = _MAX_BUCKET * 3
-    for eid in range(n):
-        cal.push((8.0, 0, eid, None))
-    assert cal._max_bucket > _MAX_BUCKET
-    assert cal._width == 16.0  # no futile rebuild
-    assert [it[2] for it in _drain(cal)] == list(range(n))
-
-
-# ------------------------------------------------------------- mode selector
-def test_engine_mode_default_and_values(monkeypatch):
-    monkeypatch.delenv("NWCACHE_ENGINE", raising=False)
-    assert _engine_mode() == "heap"
-    monkeypatch.setenv("NWCACHE_ENGINE", "")
-    assert _engine_mode() == "heap"
-    monkeypatch.setenv("NWCACHE_ENGINE", " Calendar ")
-    assert _engine_mode() == "calendar"
-    monkeypatch.setenv("NWCACHE_ENGINE", "btree")
-    with pytest.raises(ValueError, match="NWCACHE_ENGINE"):
-        _engine_mode()
-    assert set(ENGINE_MODES) == {"heap", "calendar"}
-
-
-def test_engine_uses_selected_queue(monkeypatch):
-    monkeypatch.setenv("NWCACHE_ENGINE", "calendar")
-    assert isinstance(Engine()._queue, CalendarQueue)
-    monkeypatch.setenv("NWCACHE_ENGINE", "heap")
-    assert isinstance(Engine()._queue, list)
-
-
-def test_calendar_engine_runs_events_in_time_order(monkeypatch):
-    monkeypatch.setenv("NWCACHE_ENGINE", "calendar")
+    """At one instant URGENT events go first, then NORMAL ones, each in
+    the order they were queued."""
     eng = Engine()
     log = []
-    for delay in (30, 10, 20, 10):
-        ev = eng.timeout(delay, value=delay)
+    for tag, prio in enumerate([NORMAL, URGENT, NORMAL, URGENT, NORMAL]):
+        ev = eng.event()
+        ev._value = tag
         ev.callbacks.append(lambda e: log.append(e.value))
+        eng._schedule(ev, 7.0, prio)
     eng.run()
-    assert log == [10, 10, 20, 30]
-    assert eng.now == 30
-
-
-# ------------------------------------------------------- end-to-end identity
-@pytest.mark.parametrize("app", ["sor", "zipf"])
-def test_calendar_engine_bit_identical_to_heap(monkeypatch, app):
-    """The scheduler swap is unobservable end to end."""
-
-    def snapshot(res):
-        d = dict(vars(res))
-        d.pop("metrics", None)
-        d["extras"] = {
-            k: v for k, v in res.extras.items() if not k.startswith("epoch_")
-        }
-        return repr(d)
-
-    kwargs = dict(
-        system="nwcache",
-        data_scale=0.05,
-        cfg=SimConfig(seed=5),
-        faults="disk_transient_rate=0.01",
-    )
-    monkeypatch.setenv("NWCACHE_ENGINE", "heap")
-    base = run_experiment(app, **kwargs)
-    monkeypatch.setenv("NWCACHE_ENGINE", "calendar")
-    swapped = run_experiment(app, **kwargs)
-    assert snapshot(base) == snapshot(swapped)
-    assert base.events_processed == swapped.events_processed
+    assert log == [1, 3, 0, 2, 4]
+    assert eng.now == 7.0

@@ -122,31 +122,13 @@ def test_run_with_profile_dump(tmp_path, capsys):
     assert stats.total_calls > 0
 
 
-def _sans_epoch_lines(out):
-    """Drop the epoch-profile output: it reports the execution strategy
-    (present only when the epoch executor ran), not simulated state."""
-    body = [ln for ln in out.splitlines() if not ln.startswith("  epochs ")]
-    if "Epoch profile:" in out:
-        start = next(i for i, ln in enumerate(body)
-                     if ln.startswith("Epoch profile:"))
-        end = start + 1
-        while end < len(body) and body[end].strip():
-            end += 1
-        if start > 0 and not body[start - 1].strip():
-            start -= 1  # the blank separator printed before the table
-        del body[start:end]
-    return "\n".join(body)
-
-
 def test_run_without_compiled_traces_matches(capsys):
     assert main(["run", "lu", "--scale", "0.05"]) == 0
     compiled = capsys.readouterr().out
     assert main(["run", "lu", "--scale", "0.05",
                  "--no-compiled-traces"]) == 0
     generator = capsys.readouterr().out
-    # trajectory-neutral: identical summary minus the epoch profile
-    assert _sans_epoch_lines(generator) == _sans_epoch_lines(compiled)
-    assert "epochs " in compiled and "Epoch profile:" in compiled
+    assert generator == compiled  # trajectory-neutral
 
 
 def test_trace_compile_command(tmp_path, capsys, monkeypatch):
