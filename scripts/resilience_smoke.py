@@ -11,7 +11,12 @@ pytest, the way an operator would hit it:
    checkpoint, wait out the orphaned lease, and settle the sweep;
 4. assert the resumed results are **bit-identical** to the reference
    and that the journal's accounting shows **no cell executed more
-   than once** (the killed attempt never journaled a completion).
+   than once** (the killed attempt never journaled a completion);
+5. SIGKILL a real ``Worker`` process while the child running its cell
+   is mid-simulation with checkpoints on, assert the orphaned child
+   exits within 5 s (it must not keep appending to the checkpoint a
+   successor resumes from), and check a survivor's results the same
+   way.
 
 Pass ``--artifact-dir DIR`` to keep the survivor's journal and the
 resumed checkpoint journal for upload/inspection.  Exits non-zero on
@@ -20,9 +25,12 @@ the first violated expectation.
 
 import argparse
 import multiprocessing
+import os
 import shutil
+import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from repro.core.batch import ExperimentSpec
@@ -36,6 +44,7 @@ from repro.service.lease import DONE, LEASED
 SCALE = 0.05
 EVERY = 1e5  # checkpoint cadence in simulated pcycles
 KILL_AT_SNAPSHOT = 2
+ORPHAN_GRACE_S = 5.0  # how long a dead worker's cell child may outlive it
 
 
 def check(cond: bool, what: str) -> None:
@@ -78,6 +87,79 @@ def doomed_worker(root: str) -> None:
         spec, EVERY, queue.checkpoint_path(key), on_snapshot=boom
     )
     raise AssertionError("unreachable: the worker must have died mid-cell")
+
+
+class StallingWorker(Worker):
+    """A real worker whose cell child announces its pid at snapshot
+    ``KILL_AT_SNAPSHOT`` and then slows down, so it is reliably
+    mid-cell (and still checkpointing) when its worker is killed."""
+
+    pidfile = ""
+
+    def _execute(self, key, spec):
+        def stall(k, fp):
+            if k == KILL_AT_SNAPSHOT:
+                Path(self.pidfile).write_text(str(os.getpid()))
+            if k >= KILL_AT_SNAPSHOT:
+                time.sleep(0.2)
+
+        return run_with_checkpoints(
+            spec, EVERY, self.queue.checkpoint_path(key), on_snapshot=stall
+        )
+
+
+def stalling_worker(root: str, cache_dir: str, pidfile: str) -> None:
+    worker = StallingWorker(
+        SweepQueue(root, lease_duration=1.0),
+        cache=ResultCache(cache_dir),
+        worker_id="doomed-worker",
+        checkpoint_every=EVERY,
+        jobs=1,
+    )
+    worker.pidfile = pidfile
+    worker.run()
+    raise AssertionError("unreachable: the worker must have been killed")
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def settle_and_compare(queue, cache, keys, reference) -> None:
+    """Run a survivor over ``queue``; check it settles to ``reference``."""
+    Worker(
+        queue,
+        cache=cache,
+        worker_id="survivor",
+        poll_interval=0.1,
+        checkpoint_every=EVERY,
+    ).run()
+    state = queue.state()
+    check(state.settled, "survivor settled the sweep")
+    check(
+        all(c.status == DONE for c in state.cells.values()),
+        "every cell completed",
+    )
+    check(
+        all(c.executed_runs == 1 for c in state.cells.values()),
+        "journal accounting: no cell executed more than once",
+    )
+    resumed = {k: fingerprint(cache.get(k)) for k in keys}
+    check(
+        resumed == reference,
+        "resumed results bit-identical to the uninterrupted reference",
+    )
 
 
 def main() -> None:
@@ -135,37 +217,61 @@ def main() -> None:
             args.artifact_dir.mkdir(parents=True, exist_ok=True)
             shutil.copy(ckpt, args.artifact_dir / "resumed-cell.ckpt")
 
-        survivor = Worker(
-            queue,
-            cache=cache,
-            worker_id="survivor",
-            poll_interval=0.1,
-            checkpoint_every=EVERY,
-        )
-        stats = survivor.run()
-        state = queue.state()
-        check(state.settled, "survivor settled the sweep")
+        settle_and_compare(queue, cache, keys, reference)
         check(
-            all(c.status == DONE for c in state.cells.values()),
-            "every cell completed",
-        )
-        check(
-            all(c.executed_runs == 1 for c in state.cells.values()),
-            "journal accounting: no cell executed more than once",
-        )
-        check(
-            state.cells[orphaned[0]].attempts == 2,
+            queue.state().cells[orphaned[0]].attempts == 2,
             "the killed cell needed (exactly) a second attempt",
-        )
-        resumed = {k: fingerprint(cache.get(k)) for k in keys}
-        check(
-            resumed == reference,
-            "resumed results bit-identical to the uninterrupted reference",
         )
 
         if args.artifact_dir is not None:
             shutil.copy(queue.journal.path, args.artifact_dir / "journal.nwj")
             print(f"  artifacts kept in {args.artifact_dir}")
+
+        print("killed worker process (SIGKILL while its child is mid-cell):")
+        sweep_root = root / "killed-worker"
+        queue = SweepQueue(sweep_root, lease_duration=1.0)
+        cache_dir = root / "killed-worker-cache"
+        check(queue.submit(specs()) == keys, "same specs key identically")
+        pidfile = root / "cell-child.pid"
+        worker = ctx.Process(
+            target=stalling_worker,
+            args=(str(sweep_root), str(cache_dir), str(pidfile)),
+        )
+        worker.start()
+        deadline = time.monotonic() + 120
+        while not (pidfile.exists() and pidfile.read_text()):
+            if time.monotonic() > deadline or not worker.is_alive():
+                worker.kill()
+                check(False, "the worker's cell child reached a checkpoint")
+            time.sleep(0.01)
+        cell_pid = int(pidfile.read_text())
+        check(cell_pid != worker.pid, "the cell runs in a child of the worker")
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join()
+        check(worker.exitcode == -signal.SIGKILL, "the worker died by SIGKILL")
+        deadline = time.monotonic() + ORPHAN_GRACE_S
+        while running(cell_pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphan_alive = running(cell_pid)
+        if orphan_alive:
+            os.kill(cell_pid, signal.SIGKILL)
+        check(
+            not orphan_alive,
+            f"the orphaned cell child exited within {ORPHAN_GRACE_S:g} s",
+        )
+        state = queue.state()
+        check(
+            all(c.status != DONE for c in state.cells.values()),
+            "the dead worker finished nothing",
+        )
+        (orphaned,) = [k for k, c in state.cells.items() if c.status == LEASED]
+        snaps = [
+            r
+            for r in Journal(queue.checkpoint_path(orphaned)).replay()
+            if r["type"] == "snap"
+        ]
+        check(len(snaps) >= KILL_AT_SNAPSHOT, "checkpoints survived the kill")
+        settle_and_compare(queue, ResultCache(cache_dir), keys, reference)
 
     print("resilience smoke: all checks passed")
 

@@ -38,7 +38,8 @@ environment variable supplies a default).
 
 Grid-running commands (``compare``, ``table``, ``figure``, ``sweep``,
 ``batch``) accept ``--jobs N`` (worker processes; default = CPU count)
-and ``--no-cache`` (skip the on-disk result cache).
+and ``--no-cache`` (skip the on-disk result cache); so does ``service
+work``, where ``--jobs`` is the number of cells in flight.
 
 Besides the seven Table 2 kernels, ``run``/``compare``/``sweep``/
 ``batch``/``trace`` accept the open-loop generators (``zipf``,
@@ -472,6 +473,7 @@ def cmd_service(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             max_cells=args.max_cells,
             progress=_service_progress,
+            jobs=args.jobs,
         )
         worker.install_signal_handlers()
         stats = worker.run()
@@ -675,7 +677,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pw.add_argument("dir")
     pw.add_argument("--lease-duration", type=float, default=60.0,
-                    help="seconds a claim is valid without a heartbeat")
+                    help="seconds a claim is valid without renewal")
+    pw.add_argument("--jobs", type=int, default=None,
+                    help="cells in flight, each in its own child process "
+                         "(default: NWCACHE_JOBS or CPU count)")
     pw.add_argument("--retry-budget", type=int, default=3)
     pw.add_argument("--checkpoint-every", type=float, default=None,
                     metavar="PCYCLES",

@@ -15,8 +15,10 @@ results, and returns everything in spec order.
 Crash safety
 ------------
 A grid run must survive any single cell going bad.  Each parallel cell
-runs in its **own** worker process with its own result pipe; a worker
-that raises, exceeds the per-cell ``timeout`` (default:
+runs in its **own** worker process with its own result pipe
+(:class:`CellProcesses`, which the durable sweep
+:class:`~repro.service.worker.Worker` runs its cells through too); a
+worker that raises, exceeds the per-cell ``timeout`` (default:
 ``NWCACHE_BATCH_TIMEOUT`` seconds), or dies outright (segfault,
 OOM-kill) is retried once and, if it fails again, recorded as a
 structured :class:`FailedSpec` in its slot — every *other* cell's result
@@ -37,6 +39,8 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -202,16 +206,43 @@ def _run_spec(spec: ExperimentSpec) -> RunResult:
     return spec.run()
 
 
-def _worker_entry(spec: ExperimentSpec, conn: Any) -> None:
-    """Worker-process entry: run one cell, send the outcome, exit.
+#: seconds between a child's checks that the process that forked it is
+#: still alive
+ORPHAN_POLL_S = 0.2
 
-    Sends ``("ok", RunResult)`` or ``("error", message)``; a worker that
-    dies before sending anything is detected by the parent as EOF on the
-    pipe and classified as a crash.
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Child-side watchdog: exit as soon as the parent process is gone.
+
+    A child whose parent was SIGKILLed is re-parented, so its
+    ``getppid()`` changes; without this it would keep running (and
+    appending to its cell's checkpoint journal) while a successor
+    worker resumes the same cell.
     """
+    while os.getppid() == parent_pid:
+        time.sleep(ORPHAN_POLL_S)
+    os._exit(1)
+
+
+def _child_entry(
+    parent_pid: int, conn: Any, fn: Callable[..., Any], args: Tuple[Any, ...]
+) -> None:
+    """Child-process entry: run ``fn(*args)``, send the outcome, exit.
+
+    Sends ``("ok", value)`` or ``("error", message)``; a child that dies
+    before sending anything is detected by the parent as EOF on the
+    pipe and classified as a crash.  The parent decides the child's
+    fate: SIGTERM kills it (a signal handler inherited from the parent
+    must not swallow it) and SIGINT is ignored (a terminal's Ctrl-C
+    reaches the whole process group; the parent drains or kills).
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent_pid,), daemon=True
+    ).start()
     try:
-        res = spec.run()
-        conn.send(("ok", res))
+        conn.send(("ok", fn(*args)))
     except BaseException as exc:  # noqa: BLE001 - report, don't judge
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -219,6 +250,121 @@ def _worker_entry(spec: ExperimentSpec, conn: Any) -> None:
             pass
     finally:
         conn.close()
+
+
+#: One finished child: ``(tag, kind, value)``.  ``kind`` is ``"ok"``
+#: (``value`` is what the function returned), or ``"error"`` (it
+#: raised), ``"crash"`` (the child died without reporting) or
+#: ``"timeout"`` (it passed its deadline and was killed), with
+#: ``value`` the error message.
+Outcome = Tuple[Any, str, Any]
+
+
+class CellProcesses:
+    """Run cells one child process each, with a per-cell deadline.
+
+    The process-per-cell primitive under both :func:`run_batch` and
+    the durable sweep :class:`~repro.service.worker.Worker`.  Unlike a
+    ``Pool``, one child dying or hanging cannot poison the others:
+    each cell owns its process and its result pipe.  Children are
+    forked where the platform allows (spawned elsewhere, which needs a
+    picklable ``fn``), exit on their own if this process dies, and are
+    killed when the context exits.
+
+    ::
+
+        with CellProcesses(timeout=60.0) as cells:
+            cells.start(tag, fn, arg)
+            for tag, kind, value in cells.wait():
+                ...
+    """
+
+    def __init__(self, timeout: Optional[float] = None) -> None:
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        self.timeout = timeout
+        #: read end of each child's pipe -> (tag, process, deadline)
+        self._running: Dict[Any, Tuple[Any, Any, Optional[float]]] = {}
+
+    def __len__(self) -> int:
+        return len(self._running)
+
+    def tags(self) -> List[Any]:
+        """The tags of every cell still in flight."""
+        return [tag for tag, _proc, _deadline in self._running.values()]
+
+    def start(self, tag: Any, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` in a new child; its outcome carries ``tag``."""
+        recv, send = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
+            target=_child_entry,
+            args=(os.getpid(), send, fn, args),
+            daemon=True,
+        )
+        proc.start()
+        send.close()  # the parent keeps only the read end
+        deadline = (
+            None if self.timeout is None else time.monotonic() + self.timeout
+        )
+        self._running[recv] = (tag, proc, deadline)
+
+    def wait(self, max_wait: Optional[float] = None) -> List[Outcome]:
+        """Block until a child reports, dies or passes its deadline, or
+        ``max_wait`` seconds pass; return the cells that finished."""
+        if not self._running:
+            return []
+        waits = [
+            d - time.monotonic()
+            for _tag, _proc, d in self._running.values()
+            if d is not None
+        ]
+        if max_wait is not None:
+            waits.append(max_wait)
+        ready = multiprocessing.connection.wait(
+            list(self._running), timeout=max(0.0, min(waits)) if waits else None
+        )
+        out: List[Outcome] = []
+        for conn in ready:
+            tag, proc, _deadline = self._running.pop(conn)
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                msg = None
+            conn.close()
+            proc.join()
+            if msg is None:
+                msg = (
+                    "crash",
+                    f"worker died without reporting (exitcode {proc.exitcode})",
+                )
+            out.append((tag, msg[0], msg[1]))
+        now = time.monotonic()
+        for conn, (tag, proc, deadline) in list(self._running.items()):
+            if deadline is not None and deadline <= now:
+                del self._running[conn]
+                proc.kill()
+                proc.join()
+                conn.close()
+                out.append(
+                    (tag, "timeout", f"exceeded {self.timeout:g}s deadline")
+                )
+        return out
+
+    def close(self) -> None:
+        """Kill every child still in flight."""
+        while self._running:
+            conn, (_tag, proc, _deadline) = self._running.popitem()
+            proc.kill()
+            proc.join()
+            conn.close()
+
+    def __enter__(self) -> "CellProcesses":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
 
 def resolve_cache(cache: CacheArg) -> Optional[ResultCache]:
@@ -285,8 +431,6 @@ class _Cell:
     spec: ExperimentSpec
     key: Optional[str]
     attempts: int = 0
-    last_kind: str = "error"
-    last_error: str = ""
 
 
 def _run_misses_parallel(
@@ -296,88 +440,26 @@ def _run_misses_parallel(
     retries: int,
     finish: Callable[[_Cell, BatchResult], None],
 ) -> None:
-    """Process-per-cell scheduler with deadlines, crash detection, retry.
-
-    Unlike a ``Pool``, one worker dying (or hanging) cannot poison the
-    others: each cell owns its process and pipe, and failures are
-    confined to their own slot.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    """Up to ``jobs`` cells in flight, each in its own deadline-bounded
+    child; failed attempts re-queue until ``retries`` are spent."""
     pending = deque(cells)
-    running: Dict[Any, Tuple[_Cell, Any, Optional[float]]] = {}
-
-    def retry_or_fail(cell: _Cell, kind: str, error: str) -> None:
-        cell.last_kind, cell.last_error = kind, error
-        if cell.attempts <= retries:
-            pending.append(cell)
-        else:
-            finish(
-                cell,
-                FailedSpec(cell.spec, kind, error, attempts=cell.attempts),
-            )
-
-    try:
+    with CellProcesses(timeout) as running:
         while pending or running:
             while pending and len(running) < jobs:
                 cell = pending.popleft()
                 cell.attempts += 1
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_entry, args=(cell.spec, send), daemon=True
-                )
-                proc.start()
-                send.close()  # parent keeps only the read end
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                running[recv] = (cell, proc, deadline)
-            wait_for: Optional[float] = None
-            if timeout is not None:
-                nearest = min(d for _, _, d in running.values() if d)
-                wait_for = max(0.0, nearest - time.monotonic())
-            ready = multiprocessing.connection.wait(
-                list(running), timeout=wait_for
-            )
-            for conn in ready:
-                cell, proc, _deadline = running.pop(conn)
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    msg = None
-                conn.close()
-                proc.join()
-                if msg is not None and msg[0] == "ok":
-                    finish(cell, msg[1])
-                elif msg is not None:
-                    retry_or_fail(cell, "error", msg[1])
+                running.start(cell, _run_spec, cell.spec)
+            for cell, kind, value in running.wait():
+                if kind == "ok":
+                    finish(cell, value)
+                    continue
+                if cell.attempts <= retries:
+                    pending.append(cell)
                 else:
-                    retry_or_fail(
+                    finish(
                         cell,
-                        "crash",
-                        f"worker died without reporting "
-                        f"(exitcode {proc.exitcode})",
+                        FailedSpec(cell.spec, kind, value, attempts=cell.attempts),
                     )
-            if timeout is not None:
-                now = time.monotonic()
-                expired = [
-                    conn
-                    for conn, (_, _, d) in running.items()
-                    if d is not None and d <= now
-                ]
-                for conn in expired:
-                    cell, proc, _deadline = running.pop(conn)
-                    proc.terminate()
-                    proc.join()
-                    conn.close()
-                    retry_or_fail(
-                        cell, "timeout", f"exceeded {timeout:g}s deadline"
-                    )
-    finally:
-        # On an unexpected scheduler error, never leak worker processes.
-        for _cell, proc, _deadline in running.values():
-            proc.terminate()
-            proc.join()
 
 
 def _run_misses_serial(

@@ -16,8 +16,10 @@ Layers, bottom up:
   (pending → leased → done/failed) and the on-disk :class:`SweepQueue`;
 * :mod:`repro.service.checkpoint` — deterministic snapshot/verify
   checkpointing for very large cells;
-* :mod:`repro.service.worker` — the leased worker loop with heartbeat
-  renewal and graceful drain;
+* :mod:`repro.service.worker` — the leased worker loop: up to ``jobs``
+  cells in flight, each in a deadline-bounded child process (the
+  :class:`~repro.core.batch.CellProcesses` primitive ``run_batch``
+  uses too), lease renewal from the loop itself, and graceful drain;
 * :mod:`repro.service.server` — ``repro serve``: submit/status/results
   over HTTP with streaming progress.
 

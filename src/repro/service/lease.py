@@ -382,9 +382,9 @@ class SweepQueue:
         per-cell checkpoint files.  Results go to the (separately
         configured) content-addressed result cache.
     lease_duration:
-        Seconds a claim is valid without renewal.  A worker heartbeats
-        at a third of this; a worker that dies or wedges past it has
-        its cell re-queued by whoever looks next.
+        Seconds a claim is valid without renewal.  A worker renews its
+        leases at a third of this; a worker that dies or wedges past it
+        has its cells re-queued by whoever looks next.
     retry_budget:
         Total attempts a cell may consume before it becomes a terminal
         :class:`~repro.core.batch.FailedSpec` (default 3).
@@ -394,7 +394,7 @@ class SweepQueue:
     compact_threshold:
         Journal line count past which :meth:`maybe_compact` rewrites
         the journal as one snapshot record per cell.  ``None`` disables
-        compaction.  Long sweeps append every heartbeat and retry, so
+        compaction.  Long sweeps append every renewal and retry, so
         an uncompacted journal grows without bound while every
         operation replays all of it.
     """
@@ -526,7 +526,7 @@ class SweepQueue:
             return cell.key, cell.to_experiment_spec(), cell.attempts
 
     def renew(self, key: str, worker: str, now: Optional[float] = None) -> None:
-        """Heartbeat: extend ``worker``'s lease on ``key``."""
+        """Extend ``worker``'s lease on ``key`` (dated ``now``)."""
         if now is None:
             now = time.time()
         self.journal.append(
@@ -535,6 +535,7 @@ class SweepQueue:
                 "key": key,
                 "worker": worker,
                 "expires": now + self.lease_duration,
+                "at": now,
             }
         )
 

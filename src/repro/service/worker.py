@@ -1,4 +1,4 @@
-"""The leased sweep worker: claim, run, heartbeat, survive, drain.
+"""The leased sweep worker: claim, run, renew, survive, drain.
 
 A worker is just a process pointed at a sweep directory (and the shared
 result cache).  Any number can run concurrently, on any hosts that see
@@ -6,34 +6,47 @@ the same paths; none of them is special, and the sweep's correctness
 never depends on any one of them surviving:
 
 * **claim** — the worker leases the oldest runnable cell
-  (:meth:`SweepQueue.claim`), expiring stale leases as it looks;
+  (:meth:`SweepQueue.claim`), expiring stale leases as it looks, and
+  keeps up to ``jobs`` cells in flight;
 * **dedupe** — if the content-addressed result cache already holds the
   cell's key (another worker finished it, or a previous life of this
   sweep did), the cell completes without simulating anything — this is
   what makes re-execution after *any* crash idempotent;
-* **heartbeat** — while a cell runs, a daemon thread renews the lease at
-  a third of its duration; a worker that dies or wedges stops renewing
-  and its cell re-queues when the lease expires;
+* **run** — every other cell runs in its own child process
+  (:class:`~repro.core.batch.CellProcesses`, the primitive under
+  ``run_batch`` too) with the per-cell deadline; a child that raises,
+  dies, or passes the deadline is a failed attempt, and a child whose
+  worker dies exits on its own;
+* **renew** — while it waits on its children the worker loop renews
+  every lease it holds at a third of the lease duration; a worker that
+  dies or wedges stops renewing and its cells re-queue when the leases
+  expire, and a cell killed at its deadline is no longer renewed;
 * **checkpoint** — with ``checkpoint_every`` set, long cells record
   verifiable snapshots (:mod:`repro.service.checkpoint`) so a killed
   worker's successor resumes with a bit-identity proof;
-* **drain** — SIGTERM/SIGINT request a graceful drain: the current cell
-  finishes, its outcome is journaled, and the loop exits cleanly
-  (exit 0) instead of abandoning a lease.
+* **drain** — SIGTERM/SIGINT request a graceful drain: the cells in
+  flight finish, their outcomes are journaled, and the loop exits
+  cleanly (exit 0) instead of abandoning leases.
 
-A cell that *raises* is confined: the worker records the failure (with
-exponential backoff and the queue's retry budget) and moves on.
+The parent makes every journal and cache write; a failed attempt is
+recorded with exponential backoff and the queue's retry budget.
 """
 
 from __future__ import annotations
 
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.core.batch import CacheArg, ExperimentSpec, resolve_cache
+from repro.core.batch import (
+    CacheArg,
+    CellProcesses,
+    ExperimentSpec,
+    batch_timeout,
+    default_jobs,
+    resolve_cache,
+)
 from repro.core.machine import RunResult
 from repro.service.lease import SweepQueue, default_worker_id
 
@@ -51,31 +64,6 @@ class WorkerStats:
     keys: List[str] = field(default_factory=list)
 
 
-class _Heartbeat(threading.Thread):
-    """Renews one lease until stopped (daemon: dies with the worker)."""
-
-    def __init__(self, queue: SweepQueue, key: str, worker_id: str) -> None:
-        super().__init__(daemon=True, name=f"heartbeat-{key[:8]}")
-        self.queue = queue
-        self.key = key
-        self.worker_id = worker_id
-        self.interval = max(queue.lease_duration / 3.0, 0.05)
-        self._stop = threading.Event()
-
-    def run(self) -> None:  # pragma: no cover - timing-dependent
-        while not self._stop.wait(self.interval):
-            try:
-                self.queue.renew(self.key, self.worker_id)
-            except Exception:
-                # a failed heartbeat must never kill the simulation; the
-                # worst case is the lease expiring and the cell being
-                # claimed twice, which the cache dedupes
-                pass
-
-    def stop(self) -> None:
-        self._stop.set()
-
-
 class Worker:
     """A leased worker loop over one sweep directory.
 
@@ -91,7 +79,7 @@ class Worker:
     worker_id:
         Identity used in lease records (default ``host:pid``).
     poll_interval:
-        Seconds to sleep when nothing is claimable yet.
+        Seconds to wait before retrying when nothing is claimable yet.
     checkpoint_every:
         When set, run cells under
         :func:`~repro.service.checkpoint.run_with_checkpoints` at this
@@ -102,6 +90,12 @@ class Worker:
     progress:
         Optional ``progress(event, spec, key)`` callback; events are
         ``"claim" | "cached" | "done" | "fail"``.
+    jobs:
+        Cells in flight at once, each in its own child process
+        (default: ``NWCACHE_JOBS`` or one per core, as ``run_batch``).
+        The per-cell deadline is ``run_batch``'s default too: the
+        ``NWCACHE_BATCH_TIMEOUT`` environment variable (unset means no
+        deadline); a child past it is killed and the attempt fails.
     """
 
     def __init__(
@@ -113,6 +107,7 @@ class Worker:
         checkpoint_every: Optional[float] = None,
         max_cells: Optional[int] = None,
         progress: Optional[ProgressFn] = None,
+        jobs: Optional[int] = None,
     ) -> None:
         self.queue = queue if isinstance(queue, SweepQueue) else SweepQueue(queue)
         self.cache = resolve_cache(cache)
@@ -121,11 +116,18 @@ class Worker:
         self.checkpoint_every = checkpoint_every
         self.max_cells = max_cells
         self.progress = progress
+        self.jobs = max(1, default_jobs() if jobs is None else int(jobs))
+        self.timeout = batch_timeout()
         self.draining = False
+
+    def __getstate__(self) -> dict:
+        # what a spawned child unpickles to run _execute: the progress
+        # callback stays in the parent (and need not be picklable)
+        return {**self.__dict__, "progress": None}
 
     # ------------------------------------------------------------- signals
     def request_drain(self, signum=None, frame=None) -> None:
-        """Finish the current cell, then exit the loop cleanly."""
+        """Finish the cells in flight, then exit the loop cleanly."""
         self.draining = True
 
     def install_signal_handlers(self) -> None:
@@ -138,61 +140,89 @@ class Worker:
         """Pull and run cells until the sweep settles, ``max_cells`` is
         reached, or a drain is requested.  Returns what happened."""
         stats = WorkerStats()
-        while not self.draining:
-            if (
-                self.max_cells is not None
-                and len(stats.keys) >= self.max_cells
-            ):
-                break
-            claim = self.queue.claim(self.worker_id)
-            if claim is None:
-                state = self.queue.state()
-                if state.settled:
-                    break
-                # backed-off or leased-elsewhere cells exist: wait for
-                # them to become claimable (or for the sweep to settle)
-                time.sleep(self.poll_interval)
-                continue
-            key, spec, attempt = claim
-            stats.keys.append(key)
-            self._emit("claim", spec, key)
-            self._run_cell(stats, key, spec, attempt)
-            # Heartbeats and retries grow the journal forever; fold it
-            # down once it passes the queue's threshold so replay cost
-            # stays bounded over long sweeps.
-            self.queue.maybe_compact()
+        renew_every = max(self.queue.lease_duration / 3.0, 0.05)
+        with CellProcesses(self.timeout) as cells:
+            next_renew = time.monotonic() + renew_every
+            while True:
+                idle = self._fill(stats, cells)
+                if not cells:
+                    if (
+                        self.draining
+                        or self._spent(stats)
+                        or self.queue.state().settled
+                    ):
+                        break
+                    # backed-off or leased-elsewhere cells exist: wait
+                    # for them to become claimable (or for the sweep to
+                    # settle)
+                    time.sleep(self.poll_interval)
+                    continue
+                wait = next_renew - time.monotonic()
+                if idle:
+                    wait = min(wait, self.poll_interval)
+                for (key, spec, attempt), kind, value in cells.wait(wait):
+                    self._conclude(stats, key, spec, attempt, kind, value)
+                    # Renewals and retries grow the journal forever;
+                    # fold it down once it passes the queue's threshold
+                    # so replay cost stays bounded over long sweeps.
+                    self.queue.maybe_compact()
+                if time.monotonic() >= next_renew:
+                    for key, _spec, _attempt in cells.tags():
+                        try:
+                            self.queue.renew(key, self.worker_id)
+                        except Exception:
+                            # a failed renewal must never kill the cells
+                            # in flight; the worst case is the lease
+                            # expiring and the cell being claimed twice,
+                            # which the cache dedupes
+                            pass
+                    next_renew = time.monotonic() + renew_every
         stats.drained = self.draining
         return stats
 
-    # ---------------------------------------------------------------- cell
-    def _run_cell(
-        self, stats: WorkerStats, key: str, spec: ExperimentSpec, attempt: int
-    ) -> None:
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
+    def _spent(self, stats: WorkerStats) -> bool:
+        return self.max_cells is not None and len(stats.keys) >= self.max_cells
+
+    def _fill(self, stats: WorkerStats, cells: CellProcesses) -> bool:
+        """Claim cells until ``jobs`` are in flight; True when a free
+        slot found nothing claimable."""
+        while len(cells) < self.jobs and not self.draining:
+            if self._spent(stats):
+                return False
+            claim = self.queue.claim(self.worker_id)
+            if claim is None:
+                return True
+            key, spec, attempt = claim
+            stats.keys.append(key)
+            self._emit("claim", spec, key)
+            if self.cache is not None and self.cache.get(key) is not None:
                 self.queue.complete(key, self.worker_id, attempt, executed=False)
                 stats.cached += 1
                 self._emit("cached", spec, key)
-                return
-        beat = _Heartbeat(self.queue, key, self.worker_id)
-        beat.start()
-        try:
-            res = self._execute(key, spec)
-        except Exception as exc:  # noqa: BLE001 - confine to the cell
-            beat.stop()
-            self.queue.fail(
-                key,
-                self.worker_id,
-                attempt,
-                f"{type(exc).__name__}: {exc}",
-            )
+                self.queue.maybe_compact()
+                continue
+            cells.start((key, spec, attempt), self._execute, key, spec)
+        return False
+
+    # ---------------------------------------------------------------- cell
+    def _conclude(
+        self,
+        stats: WorkerStats,
+        key: str,
+        spec: ExperimentSpec,
+        attempt: int,
+        kind: str,
+        value: Any,
+    ) -> None:
+        """Journal one child's outcome (and cache its result)."""
+        if kind != "ok":
+            error = value if kind == "error" else f"{kind}: {value}"
+            self.queue.fail(key, self.worker_id, attempt, error)
             stats.failed += 1
             self._emit("fail", spec, key)
             return
-        beat.stop()
-        if self.cache is not None and isinstance(res, RunResult):
-            self.cache.put(key, res)
+        if self.cache is not None and isinstance(value, RunResult):
+            self.cache.put(key, value)
         from repro.service.checkpoint import clear_checkpoint
 
         clear_checkpoint(self.queue.checkpoint_path(key))
@@ -201,6 +231,7 @@ class Worker:
         self._emit("done", spec, key)
 
     def _execute(self, key: str, spec: ExperimentSpec) -> RunResult:
+        """Run one cell (in its child process)."""
         if self.checkpoint_every:
             from repro.service.checkpoint import (
                 CheckpointDivergence,

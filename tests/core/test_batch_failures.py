@@ -10,12 +10,14 @@ the child processes.
 
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
 
 import repro.core.batch as batch_mod
 from repro.core.batch import (
+    CellProcesses,
     ExperimentSpec,
     FailedSpec,
     batch_timeout,
@@ -126,6 +128,53 @@ def test_single_miss_still_gets_process_isolation(monkeypatch):
     )
     (dead,) = run_batch([_spec()], jobs=4, cache=False, retries=0)
     assert isinstance(dead, FailedSpec) and dead.kind == "crash"
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_fork
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process states from /proc"
+)
+def test_child_exits_when_its_parent_dies(tmp_path):
+    """A cell's child does not outlive the process that started it: a
+    SIGKILLed parent's child notices the re-parenting and exits."""
+    pidfile = tmp_path / "child.pid"
+
+    def announce_and_hang():
+        pidfile.write_text(str(os.getpid()))
+        while True:
+            time.sleep(60)
+
+    def parent():
+        with CellProcesses() as cells:
+            cells.start("hung", announce_and_hang)
+            cells.wait()
+
+    proc = multiprocessing.get_context("fork").Process(target=parent)
+    proc.start()
+    deadline = time.monotonic() + 30
+    while not pidfile.exists() or not pidfile.read_text():
+        assert time.monotonic() < deadline, "the child never started"
+        time.sleep(0.01)
+    child = int(pidfile.read_text())
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join()
+    try:
+        deadline = time.monotonic() + 5
+        while _running(child):
+            assert time.monotonic() < deadline, "the orphaned child lives on"
+            time.sleep(0.05)
+    finally:
+        if _running(child):
+            os.kill(child, signal.SIGKILL)
 
 
 # ----------------------------------------------------------- cache + pairs

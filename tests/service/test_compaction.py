@@ -1,6 +1,6 @@
 """Journal compaction: fold a long journal down without changing state.
 
-The journal grows by one line per heartbeat, retry, and completion, and
+The journal grows by one line per lease renewal, retry, and completion, and
 every queue operation replays all of it — so long sweeps need
 :meth:`SweepQueue.maybe_compact` to rewrite the log as one snapshot
 record per cell.  The whole contract is that this is unobservable: the
@@ -157,7 +157,9 @@ def test_worker_path_compacts_past_threshold(tmp_path):
 
     queue = _queue(tmp_path, compact_threshold=3)
     keys = queue.submit([_spec(), _spec(app="gauss")])
-    worker = Worker(queue, cache=False, worker_id="w1", max_cells=2)
+    # one cell in flight at a time, so the journal grows lease, done,
+    # lease, done
+    worker = Worker(queue, cache=False, worker_id="w1", max_cells=2, jobs=1)
     stats = worker.run()
     assert stats.executed == 2
     # submit(2) + lease/done per cell = 6 lines before compaction;

@@ -140,3 +140,23 @@ def test_trace_compile_command(tmp_path, capsys, monkeypatch):
     assert "compiled sor" in out
     assert "trace key" in out
     assert list((tmp_path / "traces").glob("*/*.pkl"))
+
+
+def test_service_work_jobs(tmp_path, capsys, monkeypatch):
+    """``service work --jobs N`` keeps N cells in flight."""
+    import repro.service.worker as worker_mod
+
+    seen = []
+    real_init = worker_mod.Worker.__init__
+
+    def spy_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        seen.append(self.jobs)
+
+    monkeypatch.setattr(worker_mod.Worker, "__init__", spy_init)
+    sweep = str(tmp_path / "sweep")
+    assert main(["service", "submit", sweep, "--apps", "sor", "fft",
+                 "--systems", "nwcache", "--scale", "0.05"]) == 0
+    assert main(["service", "work", sweep, "--jobs", "2", "--no-cache"]) == 0
+    assert seen == [2]
+    assert "2 executed, 0 cached, 0 failed" in capsys.readouterr().out
