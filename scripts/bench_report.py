@@ -6,8 +6,9 @@ Measures, without pytest overhead so numbers are comparable across runs:
 * event-kernel throughput (bare timeouts and process switches, events/sec);
 * wall-clock of one end-to-end experiment cell (events/sec too);
 * serial vs parallel wall-clock for a small grid through
-  ``repro.core.batch.run_batch`` (cache disabled), plus the warm-cache
-  re-run time for the same grid;
+  ``repro.core.batch.run_batch`` (cache disabled; "serial" is
+  ``jobs=1``, one child process per cell at a time), plus the
+  warm-cache re-run time for the same grid;
 * trace compilation: cold compile vs warm replay of the compiled
   reference traces (``repro.core.trace``), per app;
 * ablation: generator path vs compiled path per pair cell (the pair
@@ -98,7 +99,10 @@ def bench_cell(scale: float) -> dict:
 def bench_grid(scale: float, jobs: int, tmp_cache: Path) -> dict:
     """Serial vs parallel vs warm-cache wall-clock for a small grid.
 
-    ``jobs`` is the worker count for the parallel measurement (the
+    Every cell runs in its own child process at any ``jobs``, so the
+    serial (``jobs=1``) time includes the same per-cell fork, journal
+    and pipe costs as the parallel one, and their ratio isolates the
+    parallelism.  ``jobs`` is the worker count for the parallel measurement (the
     caller picks ``min(4, cpu_count)`` unless overridden); it is
     recorded in the report so speedups are interpretable.  On a
     single-CPU machine the parallel run would measure process-spawn
@@ -414,7 +418,7 @@ def main() -> int:
     args = ap.parse_args()
     # The grid parallel measurement wants a small fixed worker count:
     # default_jobs() (= all cores) drags scheduler noise in on wide
-    # machines, and jobs=1 measures nothing.
+    # machines, and jobs=1 would only repeat the serial measurement.
     jobs = args.jobs if args.jobs is not None else min(4, default_jobs())
     baseline = (
         json.loads(args.baseline.read_text()) if args.baseline else None

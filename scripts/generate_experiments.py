@@ -7,9 +7,10 @@ every table/figure with the paper's numbers alongside, plus a shape
 scorecard.
 
 The full 28-cell grid (7 apps x 2 systems x 2 prefetchers) runs through
-``repro.core.batch.run_batch``: one worker process per core (``--jobs``)
-and the content-addressed on-disk result cache (disable with
-``--no-cache``; relocate with ``NWCACHE_CACHE_DIR``).
+``repro.core.batch.run_batch``: one child process per cell, up to one
+per core at a time (``--jobs``), and the content-addressed on-disk
+result cache (disable with ``--no-cache``; relocate with
+``NWCACHE_CACHE_DIR``).
 
 Usage:
     python scripts/generate_experiments.py [--scale 1.0] [--jobs N]
@@ -38,10 +39,10 @@ def main() -> None:
 
     t_start = time.time()
 
-    def progress(spec, res, cached):
-        state = "cache hit" if cached else "ran"
-        print(f"  {spec.app:6s} {spec.system:8s} {spec.prefetch:8s} "
-              f"({state})", file=sys.stderr)
+    def progress(event, spec, key):
+        if event != "claim":
+            print(f"  {spec.app:6s} {spec.system:8s} {spec.prefetch:8s} "
+                  f"({event})", file=sys.stderr)
 
     specs = grid_specs(
         APP_NAMES, ("standard", "nwcache"), ("optimal", "naive"),

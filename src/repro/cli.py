@@ -305,10 +305,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _progress(spec, res, cached: bool) -> None:
-    state = "cached" if cached else "ran"
-    print(f"  {state} {spec.app} {spec.system}/{spec.prefetch}",
-          file=sys.stderr)
+def _service_progress(event: str, spec, key: str) -> None:
+    print(f"  {event:6s} {spec.app} {spec.system}/{spec.prefetch} "
+          f"[{key[:12]}]", file=sys.stderr)
 
 
 def _all_pairs(prefetch: str, args: argparse.Namespace, apps: List[str]):
@@ -316,7 +315,7 @@ def _all_pairs(prefetch: str, args: argparse.Namespace, apps: List[str]):
 
     pairs = run_pairs_batch(
         apps, prefetch=prefetch, data_scale=args.scale,
-        jobs=args.jobs, cache=_cache_arg(args), progress=_progress,
+        jobs=args.jobs, cache=_cache_arg(args), progress=_service_progress,
     )
     # Tables/figures cannot render around holes: bail out with the
     # failure diagnostics instead.
@@ -344,7 +343,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         specs = [ExperimentSpec(a, "nwcache", pf, data_scale=args.scale)
                  for pf in ("naive", "optimal") for a in apps]
         results = run_batch(specs, jobs=args.jobs, cache=_cache_arg(args),
-                            progress=_progress)
+                            progress=_service_progress)
         _check_failures(results)
         naive = dict(zip(apps, results[: len(apps)]))
         optimal = dict(zip(apps, results[len(apps):]))
@@ -406,7 +405,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     results = run_batch(
         specs, jobs=args.jobs,
         cache=cache if cache is not None else False,
-        progress=_progress,
+        progress=_service_progress,
     )
     n_failed = 0
     for spec, res in zip(specs, results):
@@ -435,11 +434,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"{n_failed} cell(s) failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _service_progress(event: str, spec, key: str) -> None:
-    print(f"  {event:6s} {spec.app} {spec.system}/{spec.prefetch} "
-          f"[{key[:12]}]", file=sys.stderr)
 
 
 def cmd_service(args: argparse.Namespace) -> int:
@@ -496,7 +490,8 @@ def cmd_service(args: argparse.Namespace) -> int:
         return 0
     print(summarize_status(state))
     for key, cell in state["cells"].items():
-        err = f"  ({cell['last_error']})" if cell["last_error"] else ""
+        err = (f"  ({cell['last_kind']}: {cell['last_error']})"
+               if cell["last_error"] else "")
         print(f"  {key[:16]} {cell['app']:8s} {cell['system']:8s} "
               f"{cell['status']:7s} attempts={cell['attempts']} "
               f"executed={cell['executed_runs']}{err}")

@@ -7,23 +7,27 @@ order, on any worker, with bit-identical results — per-cell seeding lives
 entirely in :class:`~repro.config.SimConfig` (see
 :class:`~repro.sim.rng.RngRegistry`).
 
-:func:`run_batch` is the single entry point: it consults the
-content-addressed :class:`~repro.core.cache.ResultCache` first, runs only
-the missing cells (in parallel when ``jobs > 1``), stores the fresh
-results, and returns everything in spec order.
+:func:`run_batch` is the single entry point.  It is a thin client of the
+durable sweep service: it submits the cells to a private, throwaway
+:class:`~repro.service.lease.SweepQueue` and drains it with one
+:class:`~repro.service.worker.Worker`, which consults the
+content-addressed :class:`~repro.core.cache.ResultCache` first, runs
+only the missing cells, stores the fresh results, and hands everything
+back in spec order.  There is one job harness; this module holds the
+pieces it is built from: the cell description (:class:`ExperimentSpec`),
+the failure record (:class:`FailedSpec`) and the process-per-cell
+primitive (:class:`CellProcesses`).
 
 Crash safety
 ------------
-A grid run must survive any single cell going bad.  Each parallel cell
-runs in its **own** worker process with its own result pipe
-(:class:`CellProcesses`, which the durable sweep
-:class:`~repro.service.worker.Worker` runs its cells through too); a
-worker that raises, exceeds the per-cell ``timeout`` (default:
-``NWCACHE_BATCH_TIMEOUT`` seconds), or dies outright (segfault,
-OOM-kill) is retried once and, if it fails again, recorded as a
-structured :class:`FailedSpec` in its slot — every *other* cell's result
-is still returned.  Callers that need all-or-nothing semantics can pass
-results through :func:`raise_failures`.
+A grid run must survive any single cell going bad.  Each cell runs in
+its **own** child process with its own result pipe
+(:class:`CellProcesses`); a child that raises, exceeds the per-cell
+deadline (``NWCACHE_BATCH_TIMEOUT`` seconds), or dies outright
+(segfault, OOM-kill) is retried once and, if it fails again, recorded
+as a structured :class:`FailedSpec` in its slot — every *other* cell's
+result is still returned.  Callers that need all-or-nothing semantics
+can pass results through :func:`raise_failures`.
 
 ::
 
@@ -35,14 +39,15 @@ results through :func:`raise_failures`.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -66,7 +71,7 @@ from repro.core.runner import (
     scaled_min_free,
 )
 
-#: Type accepted by run_batch's ``cache`` parameter: an explicit cache,
+#: Type accepted by ``cache`` parameters: an explicit cache,
 #: ``None`` for the default on-disk cache, or ``False`` to disable caching.
 CacheArg = Union[ResultCache, None, bool]
 
@@ -81,27 +86,44 @@ class ExperimentSpec:
     data_scale: float = 1.0
     min_free: Optional[int] = None
     drain_policy: str = "most-loaded"
-    cfg: Optional[SimConfig] = None
+    #: ``experiment_config`` overrides (SimConfig field -> value) applied
+    #: on top of the scaled Table 1 machine — part of key()
+    config: Dict[str, Any] = field(default_factory=dict)
     audit: bool = False
     #: trace-fed CPU fast path (trajectory-neutral, so deliberately NOT
     #: part of key(): generator and compiled runs are interchangeable)
     compiled_traces: Optional[bool] = None
-    #: fault-injection plan (FaultPlan, spec string, or None to defer to
-    #: the NWCACHE_FAULTS environment variable) — part of key()
+    #: fault-injection plan (spec string, or None to defer to the
+    #: NWCACHE_FAULTS environment variable) — part of key(); a FaultPlan
+    #: object runs through run() but has no journal form, so run_batch
+    #: rejects it
     faults: Any = None
     app_params: Dict[str, Any] = field(default_factory=dict)
 
+    def _min_free(self) -> int:
+        if self.min_free is None:
+            return BEST_MIN_FREE[(self.system, self.prefetch)]
+        return self.min_free
+
+    def _cfg(self) -> Optional[SimConfig]:
+        """The explicit ``cfg`` handed to ``run_experiment`` (None: its
+        default machine, when there are no overrides)."""
+        if not self.config:
+            return None
+        return experiment_config(
+            self.data_scale, min_free=self._min_free(), **self.config
+        )
+
     def resolved_config(self) -> SimConfig:
         """The exact SimConfig ``run_experiment`` would simulate with."""
-        min_free = self.min_free
-        if min_free is None:
-            min_free = BEST_MIN_FREE[(self.system, self.prefetch)]
-        if self.cfg is None:
+        min_free = self._min_free()
+        cfg = self._cfg()
+        if cfg is None:
             cfg = experiment_config(self.data_scale, min_free=min_free)
         else:
-            cfg = self.cfg.replace(
+            cfg = cfg.replace(
                 min_free_frames=scaled_min_free(
-                    min_free, self.data_scale, self.cfg.frames_per_node
+                    min_free, self.data_scale, cfg.frames_per_node
                 )
             )
         if self.audit and not cfg.audit:
@@ -140,7 +162,7 @@ class ExperimentSpec:
             self.prefetch,
             data_scale=self.data_scale,
             min_free=self.min_free,
-            cfg=self.cfg,
+            cfg=self._cfg(),
             drain_policy=self.drain_policy,
             audit=self.audit or None,
             compiled_traces=self.compiled_traces,
@@ -178,7 +200,9 @@ class FailedSpec:
 #: What fills one slot of a batch result list.
 BatchResult = Union[RunResult, FailedSpec]
 
-ProgressFn = Callable[["ExperimentSpec", "BatchResult", bool], None]
+#: ``progress(event, spec, key)``; events are
+#: ``"claim" | "cached" | "done" | "fail"``
+ProgressFn = Callable[[str, ExperimentSpec, str], None]
 
 
 def raise_failures(results: Sequence[BatchResult]) -> List[RunResult]:
@@ -199,11 +223,6 @@ def raise_failures(results: Sequence[BatchResult]) -> List[RunResult]:
             f"{len(failures)} batch cell(s) failed: {lines}"
         )
     return list(results)  # type: ignore[arg-type]  # no FailedSpec left
-
-
-def _run_spec(spec: ExperimentSpec) -> RunResult:
-    """Module-level worker target (must be picklable by name)."""
-    return spec.run()
 
 
 #: seconds between a child's checks that the process that forked it is
@@ -263,20 +282,15 @@ Outcome = Tuple[Any, str, Any]
 class CellProcesses:
     """Run cells one child process each, with a per-cell deadline.
 
-    The process-per-cell primitive under both :func:`run_batch` and
-    the durable sweep :class:`~repro.service.worker.Worker`.  Unlike a
+    The process-per-cell primitive the
+    :class:`~repro.service.worker.Worker` (and so :func:`run_batch`)
+    runs every cell through: :meth:`start` a cell, then collect
+    ``(tag, kind, value)`` outcomes from :meth:`wait`.  Unlike a
     ``Pool``, one child dying or hanging cannot poison the others:
     each cell owns its process and its result pipe.  Children are
     forked where the platform allows (spawned elsewhere, which needs a
     picklable ``fn``), exit on their own if this process dies, and are
     killed when the context exits.
-
-    ::
-
-        with CellProcesses(timeout=60.0) as cells:
-            cells.start(tag, fn, arg)
-            for tag, kind, value in cells.wait():
-                ...
     """
 
     def __init__(self, timeout: Optional[float] = None) -> None:
@@ -368,7 +382,7 @@ class CellProcesses:
 
 
 def resolve_cache(cache: CacheArg) -> Optional[ResultCache]:
-    """Normalize run_batch's ``cache`` argument (None -> default cache)."""
+    """Normalize a ``cache`` argument (None -> default cache)."""
     if cache is False:
         return None
     if cache is None or cache is True:
@@ -389,105 +403,33 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def validate_timeout(value: Any, source: str = "timeout") -> float:
-    """A per-cell deadline must be a positive finite number of seconds.
-
-    Zero, negative, NaN/inf, and non-numeric values are configuration
-    mistakes, not requests to disable the deadline — disabling is
-    explicit (unset the environment variable, or pass ``None``) — so
-    every one of them raises a ``ValueError`` naming the offender.
-    """
-    try:
-        t = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a number of seconds, got {value!r}"
-        ) from None
-    if not math.isfinite(t) or t <= 0:
-        raise ValueError(
-            f"{source} must be a positive finite number of seconds, got "
-            f"{value!r}; unset it (or pass None) to disable the deadline"
-        )
-    return t
-
-
 def batch_timeout() -> Optional[float]:
     """Per-cell wall-clock deadline from ``NWCACHE_BATCH_TIMEOUT`` (s).
 
-    Unset or empty disables the deadline; anything else must be a
-    positive finite number (see :func:`validate_timeout`).
+    Unset or empty disables the deadline.  Zero, negative, NaN/inf, and
+    non-numeric values are configuration mistakes, not requests to
+    disable it, so each raises a ``ValueError`` naming the variable.
     """
     env = os.environ.get("NWCACHE_BATCH_TIMEOUT")
     if env is None or not env.strip():
         return None
-    return validate_timeout(env, "NWCACHE_BATCH_TIMEOUT")
+    try:
+        t = float(env)
+    except ValueError:
+        raise ValueError(
+            f"NWCACHE_BATCH_TIMEOUT must be a number of seconds, got {env!r}"
+        ) from None
+    if not math.isfinite(t) or t <= 0:
+        raise ValueError(
+            f"NWCACHE_BATCH_TIMEOUT must be a positive finite number of "
+            f"seconds, got {env!r}; unset it to disable the deadline"
+        )
+    return t
 
 
-@dataclass
-class _Cell:
-    """Scheduler bookkeeping for one cache-miss cell."""
-
-    index: int
-    spec: ExperimentSpec
-    key: Optional[str]
-    attempts: int = 0
-
-
-def _run_misses_parallel(
-    cells: List[_Cell],
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    finish: Callable[[_Cell, BatchResult], None],
-) -> None:
-    """Up to ``jobs`` cells in flight, each in its own deadline-bounded
-    child; failed attempts re-queue until ``retries`` are spent."""
-    pending = deque(cells)
-    with CellProcesses(timeout) as running:
-        while pending or running:
-            while pending and len(running) < jobs:
-                cell = pending.popleft()
-                cell.attempts += 1
-                running.start(cell, _run_spec, cell.spec)
-            for cell, kind, value in running.wait():
-                if kind == "ok":
-                    finish(cell, value)
-                    continue
-                if cell.attempts <= retries:
-                    pending.append(cell)
-                else:
-                    finish(
-                        cell,
-                        FailedSpec(cell.spec, kind, value, attempts=cell.attempts),
-                    )
-
-
-def _run_misses_serial(
-    cells: List[_Cell],
-    retries: int,
-    finish: Callable[[_Cell, BatchResult], None],
-) -> None:
-    """In-process execution with the same retry/FailedSpec contract.
-
-    No per-cell deadline here: a timeout cannot be enforced on the
-    calling process itself (use ``jobs > 1`` for that).
-    """
-    for cell in cells:
-        outcome: Optional[BatchResult] = None
-        while outcome is None:
-            cell.attempts += 1
-            try:
-                outcome = cell.spec.run()
-            except Exception as exc:  # noqa: BLE001 - confine to the cell
-                if cell.attempts <= retries:
-                    continue
-                outcome = FailedSpec(
-                    cell.spec,
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    attempts=cell.attempts,
-                )
-        finish(cell, outcome)
+#: attempts every run_batch cell gets before its slot becomes a
+#: FailedSpec (the first try plus one immediate retry)
+BATCH_ATTEMPTS = 2
 
 
 def run_batch(
@@ -495,93 +437,58 @@ def run_batch(
     jobs: Optional[int] = None,
     cache: CacheArg = None,
     progress: Optional[ProgressFn] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
 ) -> List[BatchResult]:
     """Run a grid of experiment cells, cached, parallel, and crash-safe.
+
+    The cells go through a private, throwaway
+    :class:`~repro.service.lease.SweepQueue` drained by one
+    :class:`~repro.service.worker.Worker`: the durable sweep's harness,
+    with :data:`BATCH_ATTEMPTS` attempts per cell and no backoff.
 
     Parameters
     ----------
     specs:
         The cells to evaluate; results come back in the same order.
+        Identical specs share one cell and are simulated once.
     jobs:
-        Worker processes (default: ``NWCACHE_JOBS`` env or CPU count).
-        ``1`` forces in-process serial execution.
+        Cells in flight at once, each in its own child process
+        (default: ``NWCACHE_JOBS`` env or CPU count).  ``1`` runs one
+        child at a time, with the same deadline and crash isolation.
     cache:
         ``None`` (default) uses the on-disk :class:`ResultCache` at its
         environment-resolved location; ``False`` disables caching; or
         pass an explicit :class:`ResultCache`.
     progress:
-        Optional callback ``progress(spec, result, was_cached)`` invoked
-        as each cell completes (cached cells first, then completion
-        order); ``result`` may be a :class:`FailedSpec`.
-    timeout:
-        Per-cell wall-clock deadline in seconds for parallel runs
-        (default: the ``NWCACHE_BATCH_TIMEOUT`` environment variable;
-        unset/empty means no deadline).  Must be positive and finite —
-        zero or negative values raise ``ValueError`` rather than
-        silently disabling the deadline.  A worker past its deadline is
-        terminated and the attempt counts as a ``"timeout"`` failure.
-    retries:
-        How many times a failed cell is re-attempted before its slot
-        becomes a :class:`FailedSpec` (default 1: every cell gets up to
-        two attempts).  Must be a non-negative integer.
+        Optional callback ``progress(event, spec, key)``, as
+        :class:`~repro.service.worker.Worker` takes it; events are
+        ``"claim" | "cached" | "done" | "fail"``.
+
+    The per-cell deadline is the ``NWCACHE_BATCH_TIMEOUT`` environment
+    variable (unset means none); a child past it is killed and the
+    attempt counts as a ``"timeout"`` failure.
 
     Returns
     -------
     One entry per spec, in spec order: the :class:`RunResult`, or a
-    :class:`FailedSpec` if every attempt at that cell failed.  A bad
-    cell never takes down the batch — see :func:`raise_failures` for
-    all-or-nothing callers.
+    :class:`FailedSpec` (carrying that spec) if every attempt at the
+    cell failed.  A bad cell never takes down the batch — see
+    :func:`raise_failures` for all-or-nothing callers.
     """
+    from repro.service import SweepQueue, Worker  # it imports this module
+
     specs = list(specs)
-    store = resolve_cache(cache)
-    if timeout is None:
-        timeout = batch_timeout()
-    else:
-        timeout = validate_timeout(timeout, "timeout")
-    if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
-        raise ValueError(
-            f"retries must be a non-negative integer, got {retries!r}"
+    with tempfile.TemporaryDirectory(prefix="nwcache-batch-") as root:
+        queue = SweepQueue(
+            root, retry_budget=BATCH_ATTEMPTS, backoff_base=0.0
         )
-    results: List[Optional[BatchResult]] = [None] * len(specs)
-
-    misses: List[_Cell] = []
-    for i, spec in enumerate(specs):
-        key = spec.key() if store is not None else None
-        hit = store.get(key) if store is not None else None
-        if hit is not None:
-            results[i] = hit
-            if progress is not None:
-                progress(spec, hit, True)
-        else:
-            misses.append(_Cell(i, spec, key))
-
-    if misses:
-        def finish(cell: _Cell, res: BatchResult) -> None:
-            results[cell.index] = res
-            if (
-                store is not None
-                and cell.key is not None
-                and isinstance(res, RunResult)
-            ):
-                store.put(cell.key, res)
-            if progress is not None:
-                progress(cell.spec, res, False)
-
-        if jobs is None:
-            jobs = default_jobs()
-        if jobs <= 1:
-            # In-process; no worker isolation, so no timeout enforcement.
-            _run_misses_serial(misses, retries, finish)
-        else:
-            # Requested parallelism keeps process isolation (crash
-            # confinement + deadlines) even when only one cell missed.
-            _run_misses_parallel(
-                misses, min(jobs, len(misses)), timeout, retries, finish
-            )
-
-    return results  # type: ignore[return-value]  # every slot is filled
+        keys = queue.submit(specs)
+        stats = Worker(queue, cache=cache, progress=progress, jobs=jobs).run()
+        state = queue.state()
+    return [
+        stats.results.get(key)
+        or dataclasses.replace(state.cells[key].to_failed_spec(), spec=spec)
+        for spec, key in zip(specs, keys)
+    ]
 
 
 def grid_specs(

@@ -30,7 +30,6 @@ from repro.core.batch import (
 )
 from repro.core.machine import RunResult
 from repro.core.report import render_table
-from repro.core.runner import BEST_MIN_FREE, experiment_config
 
 
 def _row(
@@ -75,8 +74,6 @@ def sweep(
         )
     key = swept[0]
     values = axes.pop(key)
-    if min_free is None:
-        min_free = BEST_MIN_FREE[(system, prefetch)]
     specs = [
         ExperimentSpec(
             app,
@@ -84,9 +81,7 @@ def sweep(
             prefetch,
             data_scale=data_scale,
             min_free=min_free,
-            cfg=experiment_config(
-                data_scale, min_free=min_free, **{key: value}, **axes
-            ),
+            config={key: value, **axes},
         )
         for value in values
     ]

@@ -1,7 +1,9 @@
 """Durable sweep service: journaled work queue, leases, checkpointed runs.
 
-The batch runner (:mod:`repro.core.batch`) makes one ``run_batch``
-*invocation* crash-safe; this package makes the **sweep itself** durable.
+This package is the repo's one job harness.  The batch runner
+(:func:`repro.core.batch.run_batch`) is its thin client: a private queue
+in a temporary directory, drained by one :class:`Worker`.  Given a
+directory of its own, the same queue makes the **sweep itself** durable.
 All coordination state lives in an append-only, checksummed journal under
 a shared directory, so any number of workers — local processes or remote
 hosts mounting the same path — can pull cells under time-bounded leases,
@@ -17,9 +19,10 @@ Layers, bottom up:
 * :mod:`repro.service.checkpoint` — deterministic snapshot/verify
   checkpointing for very large cells;
 * :mod:`repro.service.worker` — the leased worker loop: up to ``jobs``
-  cells in flight, each in a deadline-bounded child process (the
-  :class:`~repro.core.batch.CellProcesses` primitive ``run_batch``
-  uses too), lease renewal from the loop itself, and graceful drain;
+  cells in flight, each in a deadline-bounded child process
+  (:class:`~repro.core.batch.CellProcesses`), one failure policy (the
+  queue's retry budget and backoff), lease renewal from the loop
+  itself, and graceful drain;
 * :mod:`repro.service.server` — ``repro serve``: submit/status/results
   over HTTP with streaming progress.
 

@@ -50,9 +50,8 @@ FAILED = "failed"
 #: journal file name inside a sweep directory
 JOURNAL_NAME = "journal.nwj"
 
-#: spec fields carried through the journal (cfg is deliberately absent:
-#: service specs are declarative; a pickled SimConfig has no stable JSON
-#: form and would make journals machine-readable only)
+#: spec fields carried through the journal (all of them: specs are
+#: declarative, so their JSON form is the whole cell)
 _SPEC_FIELDS = (
     "app",
     "system",
@@ -60,6 +59,7 @@ _SPEC_FIELDS = (
     "data_scale",
     "min_free",
     "drain_policy",
+    "config",
     "audit",
     "compiled_traces",
     "faults",
@@ -71,14 +71,8 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
     """JSON form of a spec, with environment defaults resolved.
 
     Raises ``ValueError`` for specs the journal cannot carry faithfully:
-    an explicit ``cfg`` (no stable JSON form), a non-string fault plan,
-    or non-JSON ``app_params``.
+    a non-string fault plan, or non-JSON ``config`` or ``app_params``.
     """
-    if spec.cfg is not None:
-        raise ValueError(
-            "service specs must be declarative: pass app/system/prefetch/"
-            "data_scale/min_free instead of an explicit cfg"
-        )
     if spec.faults is not None and not isinstance(spec.faults, str):
         raise ValueError(
             f"service specs carry fault plans as spec strings, "
@@ -89,10 +83,11 @@ def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
         # resolve the submitter's env default so every worker simulates
         # (and keys) the same plan
         d["faults"] = env_fault_spec()
-    try:
-        json.dumps(d["app_params"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"app_params must be JSON-encodable: {exc}") from exc
+    for name in ("config", "app_params"):
+        try:
+            json.dumps(d[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} must be JSON-encodable: {exc}") from exc
     return d
 
 
@@ -101,9 +96,7 @@ def spec_from_dict(d: Dict[str, Any]) -> ExperimentSpec:
     unknown = set(d) - set(_SPEC_FIELDS)
     if unknown:
         raise ValueError(f"unknown spec fields {sorted(unknown)}")
-    kwargs = dict(d)
-    kwargs.setdefault("app_params", {})
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(**d)
 
 
 @dataclass
@@ -123,6 +116,8 @@ class SpecState:
     #: earliest wall-clock time the cell may be re-leased (backoff)
     not_before: float = 0.0
     last_error: str = ""
+    #: how the last failed attempt died: ``error``, ``crash`` or ``timeout``
+    last_kind: str = "error"
     #: (worker, attempt) marks — sets make duplicate records no-ops
     done_marks: Set[Tuple[str, int]] = field(default_factory=set)
     executed_marks: Set[Tuple[str, int]] = field(default_factory=set)
@@ -140,7 +135,7 @@ class SpecState:
         """The terminal-failure view of this cell (status ``failed``)."""
         return FailedSpec(
             self.to_experiment_spec(),
-            kind="error",
+            kind=self.last_kind,
             error=self.last_error or "retry budget exhausted",
             attempts=self.attempts,
         )
@@ -249,6 +244,7 @@ class SweepState:
         cell.fail_marks |= {(w, int(a)) for w, a in rec["fail"]}
         if rec.get("last_error"):
             cell.last_error = str(rec["last_error"])
+            cell.last_kind = str(rec.get("last_kind", "error"))
         status = rec["status"]
         if cell.status != DONE:
             if status == DONE:
@@ -285,6 +281,7 @@ class SweepState:
         cell.fail_marks.add(mark)
         cell.attempts = max(cell.attempts, attempt)
         cell.last_error = str(rec.get("error", ""))
+        cell.last_kind = str(rec.get("kind", "error"))
         if cell.status == DONE:
             return
         if rec.get("terminal", False):
@@ -348,6 +345,7 @@ def snapshot_record(cell: SpecState) -> Dict[str, Any]:
         "attempts": cell.attempts,
         "not_before": cell.not_before,
         "last_error": cell.last_error,
+        "last_kind": cell.last_kind,
         "done": sorted([w, a] for w, a in cell.done_marks),
         "executed": sorted([w, a] for w, a in cell.executed_marks),
         "fail": sorted([w, a] for w, a in cell.fail_marks),
@@ -562,9 +560,12 @@ class SweepQueue:
         attempt: int,
         error: str,
         now: Optional[float] = None,
+        kind: str = "error",
     ) -> bool:
         """Record a failed attempt; returns True when it was terminal.
 
+        ``kind`` says how the attempt died (``"error"``, ``"crash"`` or
+        ``"timeout"``; see :class:`~repro.core.batch.FailedSpec`).
         Non-terminal failures re-queue the cell with exponential
         backoff; once ``retry_budget`` attempts are spent the cell is a
         terminal :data:`FAILED` (see :meth:`failed_specs`).
@@ -580,6 +581,7 @@ class SweepQueue:
                 "worker": worker,
                 "attempt": attempt,
                 "error": str(error)[:2000],
+                "kind": kind,
                 "terminal": terminal,
                 "not_before": now + self.backoff_base * 2 ** (attempt - 1),
             }
@@ -658,6 +660,7 @@ def asdict_state(state: SweepState) -> Dict[str, Any]:
                 "attempts": state.cells[key].attempts,
                 "executed_runs": state.cells[key].executed_runs,
                 "last_error": state.cells[key].last_error,
+                "last_kind": state.cells[key].last_kind,
             }
             for key in state.order
         },

@@ -13,10 +13,10 @@ never depends on any one of them surviving:
   sweep did), the cell completes without simulating anything — this is
   what makes re-execution after *any* crash idempotent;
 * **run** — every other cell runs in its own child process
-  (:class:`~repro.core.batch.CellProcesses`, the primitive under
-  ``run_batch`` too) with the per-cell deadline; a child that raises,
-  dies, or passes the deadline is a failed attempt, and a child whose
-  worker dies exits on its own;
+  (:class:`~repro.core.batch.CellProcesses`) with the per-cell
+  deadline; a child that raises, dies, or passes the deadline is a
+  failed attempt of that ``kind`` (``error``, ``crash``, ``timeout``),
+  and a child whose worker dies exits on its own;
 * **renew** — while it waits on its children the worker loop renews
   every lease it holds at a third of the lease duration; a worker that
   dies or wedges stops renewing and its cells re-queue when the leases
@@ -29,7 +29,9 @@ never depends on any one of them surviving:
   cleanly (exit 0) instead of abandoning leases.
 
 The parent makes every journal and cache write; a failed attempt is
-recorded with exponential backoff and the queue's retry budget.
+recorded with exponential backoff and the queue's retry budget.  This
+loop is the repo's only job harness: :func:`~repro.core.batch.run_batch`
+is one ``Worker`` draining a private queue.
 """
 
 from __future__ import annotations
@@ -37,20 +39,19 @@ from __future__ import annotations
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.batch import (
     CacheArg,
     CellProcesses,
     ExperimentSpec,
+    ProgressFn,
     batch_timeout,
     default_jobs,
     resolve_cache,
 )
 from repro.core.machine import RunResult
 from repro.service.lease import SweepQueue, default_worker_id
-
-ProgressFn = Callable[[str, ExperimentSpec, str], None]
 
 
 @dataclass
@@ -62,6 +63,8 @@ class WorkerStats:
     failed: int = 0         #: failed attempts recorded (incl. terminal)
     drained: bool = False   #: loop exited on a drain request
     keys: List[str] = field(default_factory=list)
+    #: result of every cell completed here (simulated or cache-deduped)
+    results: Dict[str, RunResult] = field(default_factory=dict)
 
 
 class Worker:
@@ -72,8 +75,8 @@ class Worker:
     queue:
         The :class:`SweepQueue` (or a path-like to build one).
     cache:
-        Result-cache argument exactly as :func:`run_batch` takes it
-        (None = default on-disk cache).  The cache is the dedupe layer;
+        Result-cache argument (None = default on-disk cache, ``False``
+        = none, or a :class:`~repro.core.cache.ResultCache`).  The cache is the dedupe layer;
         running a durable sweep without one (``False``) still converges
         but loses crash idempotence for *completed* cells.
     worker_id:
@@ -92,10 +95,10 @@ class Worker:
         ``"claim" | "cached" | "done" | "fail"``.
     jobs:
         Cells in flight at once, each in its own child process
-        (default: ``NWCACHE_JOBS`` or one per core, as ``run_batch``).
-        The per-cell deadline is ``run_batch``'s default too: the
-        ``NWCACHE_BATCH_TIMEOUT`` environment variable (unset means no
-        deadline); a child past it is killed and the attempt fails.
+        (default: ``NWCACHE_JOBS`` or one per core).  The per-cell
+        deadline is the ``NWCACHE_BATCH_TIMEOUT`` environment variable
+        (unset means no deadline); a child past it is killed and the
+        attempt fails.
     """
 
     def __init__(
@@ -195,9 +198,11 @@ class Worker:
             key, spec, attempt = claim
             stats.keys.append(key)
             self._emit("claim", spec, key)
-            if self.cache is not None and self.cache.get(key) is not None:
+            hit = self.cache.get(key) if self.cache is not None else None
+            if hit is not None:
                 self.queue.complete(key, self.worker_id, attempt, executed=False)
                 stats.cached += 1
+                stats.results[key] = hit
                 self._emit("cached", spec, key)
                 self.queue.maybe_compact()
                 continue
@@ -216,18 +221,18 @@ class Worker:
     ) -> None:
         """Journal one child's outcome (and cache its result)."""
         if kind != "ok":
-            error = value if kind == "error" else f"{kind}: {value}"
-            self.queue.fail(key, self.worker_id, attempt, error)
+            self.queue.fail(key, self.worker_id, attempt, value, kind=kind)
             stats.failed += 1
             self._emit("fail", spec, key)
             return
-        if self.cache is not None and isinstance(value, RunResult):
+        if self.cache is not None:
             self.cache.put(key, value)
         from repro.service.checkpoint import clear_checkpoint
 
         clear_checkpoint(self.queue.checkpoint_path(key))
         self.queue.complete(key, self.worker_id, attempt, executed=True)
         stats.executed += 1
+        stats.results[key] = value
         self._emit("done", spec, key)
 
     def _execute(self, key: str, spec: ExperimentSpec) -> RunResult:

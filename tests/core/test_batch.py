@@ -69,6 +69,14 @@ def test_cache_hit_on_rerun(tmp_path):
     assert _fingerprint(warm) == _fingerprint(cold)
 
 
+def test_duplicate_specs_simulate_once(tmp_path):
+    cache = ResultCache(tmp_path)
+    spec = ExperimentSpec("sor", "nwcache", "optimal", data_scale=SCALE)
+    first, second = run_batch([spec, spec], jobs=1, cache=cache)
+    assert _fingerprint(first) == _fingerprint(second)
+    assert cache.stats() == {"hits": 0, "misses": 1}
+
+
 def test_cache_miss_on_config_change(tmp_path):
     cache = ResultCache(tmp_path)
     base = ExperimentSpec("sor", "nwcache", "optimal", data_scale=SCALE)
@@ -76,7 +84,7 @@ def test_cache_miss_on_config_change(tmp_path):
 
     changed = ExperimentSpec(
         "sor", "nwcache", "optimal", data_scale=SCALE,
-        cfg=base.resolved_config().replace(disk_cache_bytes=32 * 1024),
+        config={"disk_cache_bytes": 32 * 1024},
     )
     assert changed.key() != base.key()
     probe = ResultCache(tmp_path)

@@ -1,6 +1,6 @@
 """Properties of the sweep journal and its replayed state machine.
 
-Three contracts back every crash-recovery claim the service makes, and
+Four contracts back every crash-recovery claim the service makes, and
 Hypothesis drives each across arbitrary histories:
 
 * **line safety** — any JSON record survives ``record_line`` /
@@ -12,9 +12,12 @@ Hypothesis drives each across arbitrary histories:
 * **merge convergence** — for records whose effects are commutative
   (done / fail marks), any interleaving converges to the same outcome:
   a cell with a ``done`` record anywhere ends done, and per-attempt
-  marks never double-count executions.
+  marks never double-count executions;
+* **compaction exactness** — one snapshot record per cell folds back
+  into exactly the state it was taken from.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -24,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service.journal import Journal, parse_line, record_line
-from repro.service.lease import DONE, SweepState
+from repro.service.lease import DONE, SweepState, snapshot_record
 
 # ----------------------------------------------------------------- strategies
 json_scalars = st.one_of(
@@ -49,6 +52,8 @@ keys = st.sampled_from(["cell-a", "cell-b", "cell-c"])
 workers = st.sampled_from(["w1", "w2"])
 attempts = st.integers(min_value=1, max_value=3)
 times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+#: a fail record's kind; older journals' records carry none
+fail_kinds = st.sampled_from(["error", "crash", "timeout", None])
 
 
 @st.composite
@@ -67,10 +72,14 @@ def cell_ops(draw):
                 "attempt": draw(attempts),
                 "executed": draw(st.booleans())}
     if kind == "fail":
-        return {"type": "fail", "key": key, "worker": draw(workers),
-                "attempt": draw(attempts), "error": "boom",
-                "terminal": draw(st.booleans()),
-                "not_before": draw(times)}
+        rec = {"type": "fail", "key": key, "worker": draw(workers),
+               "attempt": draw(attempts), "error": "boom",
+               "terminal": draw(st.booleans()),
+               "not_before": draw(times)}
+        fail_kind = draw(fail_kinds)
+        if fail_kind is not None:
+            rec["kind"] = fail_kind
+        return rec
     return {"type": "requeue", "key": key, "worker": draw(workers),
             "expires": draw(times)}
 
@@ -97,6 +106,7 @@ def _observable(state):
             cell.executed_runs,
             frozenset(cell.done_marks),
             frozenset(cell.fail_marks),
+            cell.last_kind,
         )
         for key, cell in state.cells.items()
     }
@@ -141,6 +151,20 @@ def test_replay_is_idempotent_under_full_duplication(ops):
     once = _fold(history)
     twice = _fold(history + history)
     assert _observable(once) == _observable(twice)
+
+
+@given(ops=st.lists(cell_ops(), max_size=20))
+@settings(max_examples=100)
+def test_compaction_snapshots_fold_to_the_same_state(ops):
+    """Compaction rewrites a journal as one snapshot record per cell;
+    folding those must rebuild every field of every cell exactly."""
+    state = _fold(_submits() + ops)
+    compacted = _fold([snapshot_record(state.cells[k]) for k in state.order])
+    assert compacted.order == state.order
+    for key in state.order:
+        assert dataclasses.asdict(compacted.cells[key]) == dataclasses.asdict(
+            state.cells[key]
+        )
 
 
 @given(ops=st.lists(cell_ops(), max_size=16), data=st.data())

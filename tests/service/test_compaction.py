@@ -75,7 +75,9 @@ def _mixed_history(queue):
         now = 2000.0 + 500.0 * round_no
         k, _, attempt = queue.claim("w3", now=now)
         assert k == keys[2]
-        queue.fail(k, "w3", attempt, f"crash {round_no}", now=now + 1.0)
+        queue.fail(
+            k, "w3", attempt, f"crash {round_no}", now=now + 1.0, kind="crash"
+        )
     # cell 3 stays pending
     return keys
 
@@ -135,6 +137,7 @@ def test_decisions_unchanged_after_compaction(tmp_path):
     assert state.cells[keys[1]].worker == "w2"
     assert state.cells[keys[2]].status == FAILED
     assert "crash" in state.cells[keys[2]].last_error
+    assert state.cells[keys[2]].to_failed_spec().kind == "crash"
     assert state.cells[keys[2]].attempts == queue.retry_budget
     assert state.cells[keys[3]].status == LEASED
 

@@ -17,6 +17,7 @@ from repro.service.lease import (
     LEASED,
     PENDING,
     SweepQueue,
+    SweepState,
     asdict_state,
     replay_state,
     spec_from_dict,
@@ -39,7 +40,8 @@ def _queue(tmp_path, **kw):
 
 # ------------------------------------------------------------ spec crossing
 def test_spec_roundtrips_through_journal_form():
-    spec = _spec(app_params={"alpha": 0.9})
+    spec = _spec(app_params={"alpha": 0.9},
+                 config={"disk_cache_bytes": 32 * 1024})
     d = spec_to_dict(spec)
     json.dumps(d)  # journal form must be JSON-able
     back = spec_from_dict(d)
@@ -49,8 +51,10 @@ def test_spec_roundtrips_through_journal_form():
 def test_spec_to_dict_rejects_unserializable_specs():
     from repro.config import SimConfig
 
-    with pytest.raises(ValueError, match="declarative"):
-        spec_to_dict(ExperimentSpec("sor", "nwcache", cfg=SimConfig.tiny()))
+    with pytest.raises(ValueError, match="config must be JSON-encodable"):
+        spec_to_dict(_spec(config={"disk_cache_bytes": object()}))
+    with pytest.raises(ValueError, match="config must be JSON-encodable"):
+        spec_to_dict(_spec(config={"faults": SimConfig.tiny()}))
     with pytest.raises(ValueError, match="JSON-encodable"):
         spec_to_dict(_spec(app_params={"f": object()}))
     with pytest.raises(ValueError, match="fault plans"):
@@ -167,7 +171,25 @@ def test_retry_budget_exhaustion_is_terminal(tmp_path):
     assert isinstance(failed, FailedSpec)
     assert failed.attempts == 2 and failed.retries == 1
     assert failed.error == "second"
+    assert failed.kind == "error"
     assert q.claim("w1", now=1e9) is None  # terminal cells never re-lease
+
+
+def test_failed_spec_reports_the_last_failure_kind(tmp_path):
+    q = _queue(tmp_path, retry_budget=2)
+    (key,) = q.submit([_spec()])
+    _, _, a1 = q.claim("w1", now=0.0)
+    q.fail(key, "w1", a1, "died", now=0.0, kind="crash")
+    _, _, a2 = q.claim("w1", now=100.0)
+    q.fail(key, "w1", a2, "exceeded 1s deadline", now=100.0, kind="timeout")
+    (failed,) = q.failed_specs()
+    assert (failed.kind, failed.error) == ("timeout", "exceeded 1s deadline")
+    # fail records without a kind (older journals) read as errors
+    legacy = SweepState()
+    for rec in q.journal.replay():
+        rec.pop("kind", None)
+        legacy.apply(rec)
+    assert legacy.cells[key].to_failed_spec().kind == "error"
 
 
 def test_done_is_absorbing(tmp_path):

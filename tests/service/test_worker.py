@@ -241,6 +241,8 @@ def test_hung_cell_fails_at_its_deadline(tmp_path, monkeypatch):
     assert stats.executed == len(siblings) and stats.failed == budget
     assert state.cells[hung].attempts == budget
     assert "1s deadline" in state.cells[hung].last_error
+    (failed,) = q.failed_specs()
+    assert failed.kind == "timeout"
     assert timeout * budget <= elapsed < 30
 
     # every renewal of the hung cell is dated within the attempt it
