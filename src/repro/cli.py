@@ -21,13 +21,12 @@ Commands
 ``serve DIR``
     Expose a sweep directory over HTTP: submit, status, per-cell
     results, and streaming progress.
-``trace compile APP``
-    Compile an app's reference streams into the on-disk trace cache.
+``trace record APP PATH`` / ``trace replay PATH``
+    Record an app's reference streams to a trace file / run a machine
+    on a recorded trace.
 
 ``run`` accepts ``--profile [PATH]`` (cProfile the run for hot-path
-triage), ``--no-compiled-traces`` (use live driver generators; the
-compiled trace path is trajectory-neutral, so results are identical),
-and ``--checkpoint-every PCYCLES``
+triage) and ``--checkpoint-every PCYCLES``
 (record verifiable checkpoints so an interrupted run resumes with a
 bit-identity proof; see :mod:`repro.service.checkpoint`).
 
@@ -208,7 +207,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_once(args: argparse.Namespace) -> int:
-    compiled = False if args.no_compiled_traces else None
     app_name = _resolve_app(args)
     params = _openloop_params(args, app_name)
     if args.checkpoint_every is not None and args.report:
@@ -226,8 +224,7 @@ def _run_once(args: argparse.Namespace) -> int:
             audit=args.audit,
             faults=args.faults,
         )
-        machine = Machine(cfg, system=args.system, prefetch=args.prefetch,
-                          compiled_traces=compiled)
+        machine = Machine(cfg, system=args.system, prefetch=args.prefetch)
         app = make_app(app_name, scale=linear_scale(app_name, args.scale),
                        **params)
         res = machine.run(app)
@@ -247,8 +244,7 @@ def _run_once(args: argparse.Namespace) -> int:
 
         spec = ExperimentSpec(
             app_name, args.system, args.prefetch, data_scale=args.scale,
-            audit=args.audit, compiled_traces=compiled, faults=args.faults,
-            app_params=params,
+            audit=args.audit, faults=args.faults, app_params=params,
         )
         path = args.checkpoint or f"{app_name}-{args.system}.ckpt"
         res = run_with_checkpoints(spec, args.checkpoint_every, path)
@@ -258,8 +254,7 @@ def _run_once(args: argparse.Namespace) -> int:
     else:
         res = run_experiment(
             app_name, args.system, args.prefetch, data_scale=args.scale,
-            audit=args.audit or None, compiled_traces=compiled,
-            faults=args.faults, **params,
+            audit=args.audit or None, faults=args.faults, **params,
         )
         print(_summary(res))
     openloop_table = report.openloop_section(res)
@@ -517,18 +512,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
                          seed=args.seed)
         print(f"recorded {n} items from {args.app} to {args.path}")
         return 0
-    if args.trace_command == "compile":
-        from repro.core.trace import get_trace, trace_key
-
-        app = make_app(args.app, scale=linear_scale(args.app, args.scale))
-        trace = get_trace(app, args.nodes, args.seed)
-        key = trace_key(app, args.nodes, args.seed)
-        print(f"compiled {args.app}: {trace.n_items} items on "
-              f"{trace.n_nodes} processors, "
-              f"{len(trace.barrier_keys)} distinct barriers, "
-              f"{trace.nbytes() / 1024:.1f} KiB of arrays")
-        print(f"trace key {key}")
-        return 0
     # replay
     wl = TraceWorkload(args.path)
     res = run_experiment(wl, args.system, args.prefetch, data_scale=args.scale)
@@ -579,9 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", nargs="?", const="-", metavar="PATH",
                    help="profile the run with cProfile; print the top of "
                         "the cumulative table (or dump stats to PATH)")
-    p.add_argument("--no-compiled-traces", action="store_true",
-                   help="feed CPUs from live driver generators instead of "
-                        "the compiled reference trace (results identical)")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="fault-injection plan, e.g. "
                         "'disk_transient_rate=0.01,channel_failures=0@2e6' "
@@ -705,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
-        "trace", help="record / compile / replay workload traces"
+        "trace", help="record / replay workload traces"
     )
     tsub = p.add_subparsers(dest="trace_command", required=True)
     pr = tsub.add_parser("record")
@@ -715,15 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=0)
     _add_common(pr)
     pr.set_defaults(func=cmd_trace)
-    pc = tsub.add_parser(
-        "compile", help="compile an app into the on-disk trace cache"
-    )
-    pc.add_argument("app", choices=ALL_APP_NAMES)
-    pc.add_argument("--nodes", type=int, default=8)
-    pc.add_argument("--seed", type=int, default=1999,
-                    help="master seed (default: the experiment seed)")
-    _add_common(pc)
-    pc.set_defaults(func=cmd_trace)
     pp = tsub.add_parser("replay")
     pp.add_argument("path")
     pp.add_argument("--system", choices=("standard", "nwcache"),

@@ -90,9 +90,6 @@ class ExperimentSpec:
     #: on top of the scaled Table 1 machine — part of key()
     config: Dict[str, Any] = field(default_factory=dict)
     audit: bool = False
-    #: trace-fed CPU fast path (trajectory-neutral, so deliberately NOT
-    #: part of key(): generator and compiled runs are interchangeable)
-    compiled_traces: Optional[bool] = None
     #: fault-injection plan (spec string, or None to defer to the
     #: NWCACHE_FAULTS environment variable) — part of key(); a FaultPlan
     #: object runs through run() but has no journal form, so run_batch
@@ -165,7 +162,6 @@ class ExperimentSpec:
             cfg=self._cfg(),
             drain_policy=self.drain_policy,
             audit=self.audit or None,
-            compiled_traces=self.compiled_traces,
             faults=self.faults,
             **self.app_params,
         )

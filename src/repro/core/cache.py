@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.config import SimConfig
+from repro.core.keys import canonical
 from repro.core.machine import RunResult
 from repro.ioutil import atomic_write_bytes
 
@@ -147,43 +148,6 @@ def default_cache_dir() -> Path:
     return base / "nwcache"
 
 
-def _sort_token(obj: Any) -> str:
-    """Total order over canonical values (already JSON-encodable)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def canonical(obj: Any) -> Any:
-    """Reduce ``obj`` to deterministic JSON-encodable primitives.
-
-    Key-order of dicts and element-order of sets must not leak into the
-    digest: equal containers hash equal regardless of insertion order or
-    ``PYTHONHASHSEED``.  Dicts are encoded as sorted ``[key, value]``
-    pair lists (plain ``sorted(obj.items())`` raises on mixed-type keys,
-    and coercing keys to ``str`` would collide ``1`` with ``"1"``).
-
-    Shared by :func:`cache_key` and the trace-key machinery in
-    :mod:`repro.core.trace`.
-    """
-    if isinstance(obj, dict):
-        items = [[canonical(k), canonical(v)] for k, v in obj.items()]
-        items.sort(key=lambda kv: _sort_token(kv[0]))
-        return {"__dict__": items}
-    if isinstance(obj, (set, frozenset)):
-        return {"__set__": sorted((canonical(v) for v in obj), key=_sort_token)}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        # repr() round-trips floats exactly; avoids json float formatting drift
-        return repr(obj)
-    return repr(obj)
-
-
-#: backwards-compatible alias (pre-trace-compiler name)
-_canonical = canonical
-
-
 def cache_key(
     cfg: SimConfig,
     app: str,
@@ -196,13 +160,13 @@ def cache_key(
     """Hex digest identifying one simulation cell's complete inputs."""
     payload = {
         "version": CACHE_FORMAT_VERSION,
-        "cfg": _canonical(dataclasses.asdict(cfg)),
+        "cfg": canonical(dataclasses.asdict(cfg)),
         "app": app,
         "system": system,
         "prefetch": prefetch,
         "drain_policy": drain_policy,
         "data_scale": repr(float(data_scale)),
-        "app_params": _canonical(app_params or {}),
+        "app_params": canonical(app_params or {}),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

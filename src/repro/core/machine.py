@@ -43,15 +43,6 @@ SYSTEM_STANDARD = "standard"
 SYSTEM_NWCACHE = "nwcache"
 
 
-def _compiled_traces_default() -> bool:
-    """Compiled traces are on unless ``NWCACHE_COMPILED_TRACES=0``."""
-    import os
-
-    return os.environ.get("NWCACHE_COMPILED_TRACES", "").lower() not in (
-        "0", "false", "no",
-    )
-
-
 def io_node_ids(cfg: SimConfig) -> List[int]:
     """Evenly-spaced I/O-enabled node ids (e.g. [0, 2, 4, 6] for 8/4)."""
     n, k = cfg.n_nodes, cfg.n_io_nodes
@@ -102,14 +93,12 @@ class Machine:
         system: str = SYSTEM_STANDARD,
         prefetch: str = "optimal",
         drain_policy: str = DRAIN_MOST_LOADED,
-        compiled_traces: Optional[bool] = None,
+        compiled_traces: bool = True,
     ) -> None:
         if system not in (SYSTEM_STANDARD, SYSTEM_NWCACHE):
             raise ValueError(f"unknown system {system!r}")
         self.cfg = cfg
         self.system = system
-        if compiled_traces is None:
-            compiled_traces = _compiled_traces_default()
         self.compiled_traces = bool(compiled_traces)
         #: whether the last run() replayed a compiled trace (gates the
         #: ``epoch_events_jumped`` extra in ``RunResult.extras``)
@@ -241,12 +230,14 @@ class Machine:
     def _request_trace(self, app: Workload):
         """The app's compiled trace, or None to use the generator path.
 
-        Ad-hoc workloads can opt out with ``trace_compilable = False``
-        (e.g. streams that depend on shared RNG substreams or machine
-        state); ``NWCACHE_COMPILED_TRACES=0`` or
-        ``Machine(..., compiled_traces=False)`` disables the path
-        machine-wide.  The compiled path is trajectory-neutral, so the
-        choice never changes results.
+        The trace comes from :func:`repro.core.trace.get_trace`, which
+        compiles it once per process.  Ad-hoc workloads can opt out with
+        ``trace_compilable = False`` (e.g. streams that depend on shared
+        RNG substreams or machine state); ``Machine(...,
+        compiled_traces=False)`` feeds every CPU from the generators
+        instead, the reference the equivalence tests compare against.
+        The compiled path is trajectory-neutral, so the choice never
+        changes results.
         """
         if not self.compiled_traces:
             return None

@@ -108,7 +108,7 @@ def run_experiment(
     cfg: Optional[SimConfig] = None,
     drain_policy: str = "most-loaded",
     audit: Optional[bool] = None,
-    compiled_traces: Optional[bool] = None,
+    compiled_traces: bool = True,
     faults: Any = None,
     **app_params: Any,
 ) -> RunResult:
@@ -135,10 +135,10 @@ def run_experiment(
         (:mod:`repro.core.auditing`).  ``None`` defers to ``cfg.audit``
         or the ``NWCACHE_AUDIT`` environment variable.
     compiled_traces:
-        Feed the CPUs from a compiled reference trace
-        (:mod:`repro.core.trace`) instead of live driver generators.
-        Trajectory-neutral; ``None`` defers to the
-        ``NWCACHE_COMPILED_TRACES`` environment default (on).
+        Feed the CPUs from the compiled reference trace
+        (:mod:`repro.core.trace`, the default); ``False`` runs the live
+        driver generators instead.  Trajectory-neutral: the generator
+        path is the reference the equivalence tests compare against.
     faults:
         Fault-injection plan: a :class:`~repro.sim.faults.FaultPlan`, a
         spec string (see :func:`~repro.sim.faults.parse_fault_spec`), or

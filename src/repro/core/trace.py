@@ -1,4 +1,4 @@
-"""Compiled reference traces: array-backed streams with an on-disk cache.
+"""Compiled reference traces: array-backed streams shared in-process.
 
 Every simulated run re-executes the application drivers as pure-Python
 generators, and the standard-vs-NWCache pairing that produces the paper
@@ -27,63 +27,33 @@ exactly the item sequence the generator would have produced, so
 simulation results are bit-identical either way (asserted per app in
 ``tests/core/test_trace_equivalence.py``).
 
-On-disk cache
--------------
+In-process memo
+---------------
 Traces depend only on (workload class + parameters, n_nodes, seed), not
-on the machine model, so one compilation serves a whole standard/NWCache
-pair, every point of a parameter sweep, and every worker of a batch run.
-:class:`TraceCache` stores them content-addressed under
-``<cache-dir>/traces`` where ``<cache-dir>`` resolves exactly like the
-result cache (``NWCACHE_CACHE_DIR``, then ``$XDG_CACHE_HOME/nwcache``,
-then ``~/.cache/nwcache``).  Set ``NWCACHE_TRACE_CACHE=0`` to kill the
-on-disk layer (in-process memoization still applies); bump
-:data:`TRACE_FORMAT_VERSION` when a driver change alters streams for
-identical parameters.
-
-Traces share the result cache's checksummed-envelope format: a trace
-file that fails validation on load is quarantined to
-``<traces>/corrupt/`` with a warning and recompiled, never raised.
+on the machine model, so :func:`get_trace` compiles each distinct input
+once per process and shares the result: one compilation serves both
+machines of an in-process pair and every later run in the process.
+Batch and sweep cells run in child processes: a forked child inherits
+whatever its parent had compiled and otherwise compiles its own trace.
+Nothing is persisted, so a fresh process always compiles from the
+drivers themselves.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List
 
 import numpy as np
 
 from repro.apps.base import Item, Workload
-from repro.core.cache import (
-    CORRUPT_DIR,
-    CorruptCacheEntry,
-    canonical,
-    default_cache_dir,
-    quarantine,
-    read_envelope,
-    write_envelope,
-)
+from repro.core.keys import canonical
 from repro.sim.rng import RngRegistry
-
-#: Bump when a driver change alters the streams compiled from identical
-#: workload parameters (the key covers inputs, not driver code).
-#: v2: checksummed on-disk envelope (see repro.core.cache).
-#: v3: ``reuse`` column (per-visit distinct-page reuse distance).
-#: v4: the ``reuse`` column is gone again; older files are quarantined
-#: and recompiled on first load.
-TRACE_FORMAT_VERSION = 4
-
-_TRACE_MAGIC = "nwcache-trace"
 
 #: ``kind`` column codes
 KIND_VISIT = 0
 KIND_BARRIER = 1
-
-#: Type accepted by trace-cache arguments: an explicit cache, ``None``
-#: for the environment-resolved default, or ``False`` to disable.
-TraceCacheArg = Union["TraceCache", None, bool]
 
 
 @dataclass
@@ -101,7 +71,6 @@ class CompiledTrace:
     writes: List[np.ndarray]          #: int64 write counts
     thinks: List[np.ndarray]          #: float64 think cycles
     barrier_keys: List[Any] = field(default_factory=list)
-    version: int = TRACE_FORMAT_VERSION
 
     @property
     def n_items(self) -> int:
@@ -129,12 +98,6 @@ class CompiledTrace:
                 self.thinks[proc].tolist(),
             )
         return cols
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Never pickle the decoded-column cache: it can dwarf the arrays.
-        state = self.__dict__.copy()
-        state.pop("_columns", None)
-        return state
 
     def items(self, proc: int, page_base: int = 0) -> Iterator[Item]:
         """Decode processor ``proc``'s stream back into driver items.
@@ -183,7 +146,6 @@ def trace_key(workload: Workload, n_nodes: int, seed: int) -> str:
     import hashlib
 
     payload = {
-        "version": TRACE_FORMAT_VERSION,
         "workload": workload_fingerprint(workload),
         "n_nodes": int(n_nodes),
         "seed": int(seed),
@@ -262,128 +224,6 @@ def compile_workload(
     )
 
 
-# ---------------------------------------------------------------- disk cache
-def trace_cache_enabled() -> bool:
-    """The on-disk layer's kill switch (``NWCACHE_TRACE_CACHE=0``)."""
-    return os.environ.get("NWCACHE_TRACE_CACHE", "").lower() not in (
-        "0", "false", "no",
-    )
-
-
-class TraceCache:
-    """Pickle-backed store of :class:`CompiledTrace` keyed by input digest.
-
-    Same concurrency contract as the result cache: atomic
-    write-temp-then-rename, so concurrent batch workers never observe a
-    partial trace.  Same robustness contract too: entries live in a
-    checksummed envelope, and a file that fails validation is
-    quarantined to ``corrupt/`` and read as a miss.
-    """
-
-    def __init__(self, directory: "Path | str | None" = None) -> None:
-        self.directory = (
-            Path(directory) if directory else default_cache_dir() / "traces"
-        )
-        self.hits = 0
-        self.misses = 0
-
-    @classmethod
-    def default(cls) -> "TraceCache":
-        """Cache at the environment-resolved default location."""
-        return cls()
-
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.pkl"
-
-    def get(self, key: str) -> Optional[CompiledTrace]:
-        """Return the cached trace for ``key``, or None on a miss.
-
-        Corrupt or foreign entries are quarantined and read as misses —
-        the caller recompiles.
-        """
-        path = self._path(key)
-        try:
-            trace = read_envelope(path, _TRACE_MAGIC, TRACE_FORMAT_VERSION)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except OSError:
-            self.misses += 1
-            return None
-        except CorruptCacheEntry as exc:
-            quarantine(path, self.directory, str(exc))
-            self.misses += 1
-            return None
-        if (
-            not isinstance(trace, CompiledTrace)
-            or trace.version != TRACE_FORMAT_VERSION
-        ):
-            quarantine(path, self.directory, "payload is not a current trace")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return trace
-
-    def put(self, key: str, trace: CompiledTrace) -> None:
-        """Store ``trace`` under ``key`` (atomic, last-writer-wins)."""
-        write_envelope(
-            self._path(key), _TRACE_MAGIC, TRACE_FORMAT_VERSION, trace
-        )
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
-
-    def _entries(self):
-        # The quarantine directory sits beside the two-level fanout, so
-        # its files match the same glob and must be excluded.
-        return (
-            p
-            for p in self.directory.glob("*/*.pkl")
-            if p.parent.name != CORRUPT_DIR
-        )
-
-    def __len__(self) -> int:
-        if not self.directory.exists():
-            return 0
-        return sum(1 for _ in self._entries())
-
-    def clear(self) -> int:
-        """Delete every cached trace; returns how many were removed.
-
-        Quarantined files are left in place (they are not entries)."""
-        n = 0
-        if not self.directory.exists():
-            return 0
-        for entry in list(self._entries()):
-            try:
-                entry.unlink()
-                n += 1
-            except OSError:  # pragma: no cover - concurrent clear
-                pass
-        return n
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TraceCache({str(self.directory)!r}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
-
-
-def resolve_trace_cache(cache: TraceCacheArg) -> Optional[TraceCache]:
-    """Normalize a trace-cache argument, honoring the kill switch.
-
-    ``None`` resolves to the default on-disk cache unless
-    ``NWCACHE_TRACE_CACHE=0``; ``False`` always disables the disk layer;
-    an explicit :class:`TraceCache` is used as-is (the kill switch only
-    governs the *default* cache).
-    """
-    if cache is False:
-        return None
-    if cache is None or cache is True:
-        return TraceCache.default() if trace_cache_enabled() else None
-    return cache
-
-
 # ---------------------------------------------------------- in-process memo
 #: compiled traces shared by every Machine in this process, keyed by digest
 _memo: Dict[str, CompiledTrace] = {}
@@ -398,31 +238,19 @@ def get_trace(
     workload: Workload,
     n_nodes: int,
     seed: int,
-    cache: TraceCacheArg = None,
+    *,
+    cache: Any = None,
 ) -> CompiledTrace:
     """The compiled trace for ``workload``, compiled at most once.
 
-    Lookup order: in-process memo, then the on-disk :class:`TraceCache`
-    (unless disabled), then a fresh compilation (which populates both).
-    A standard/NWCache pair, a sweep, or a whole batch grid therefore
-    shares one compilation per distinct (workload, n_nodes, seed).
+    Every caller in this process (say both machines of a ``run_pair``)
+    shares one compilation per distinct (workload, n_nodes, seed).  ``cache`` has no effect: it remains only because
+    ``perfbench/workloads.py`` still passes ``cache=False`` from the days
+    of the on-disk trace cache, and goes when that file next changes
+    (ROADMAP item 1).
     """
     key = trace_key(workload, n_nodes, seed)
-    store = resolve_trace_cache(cache)
     trace = _memo.get(key)
-    if trace is not None:
-        if store is not None and key not in store:
-            # Backfill: an earlier compile may have run with the disk
-            # layer disabled; converge to a populated cache regardless.
-            store.put(key, trace)
-        return trace
-    if store is not None:
-        trace = store.get(key)
-        if trace is not None:
-            _memo[key] = trace
-            return trace
-    trace = compile_workload(workload, n_nodes, seed)
-    _memo[key] = trace
-    if store is not None:
-        store.put(key, trace)
+    if trace is None:
+        trace = _memo[key] = compile_workload(workload, n_nodes, seed)
     return trace

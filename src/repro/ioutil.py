@@ -1,7 +1,7 @@
 """Atomic, durable file writes shared across the repo.
 
-Every artifact the simulator persists — cache envelopes, compiled
-traces, JSON exports, request schedules, service journals — must never
+Every artifact the simulator persists — cache envelopes, JSON
+exports, request schedules, service journals — must never
 be observable half-written: a reader races a writer on the same path
 (parallel batch workers share the caches), and a SIGKILL or power cut
 can land between any two syscalls.  The pattern here is the standard

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.apps import make_app
 from repro.core.batch import ExperimentSpec
-from repro.core.cache import canonical
+from repro.core.keys import canonical
 from repro.core.machine import Machine, RunResult
 from repro.core.runner import _audit_default, linear_scale
 from repro.osim import PageState
@@ -141,7 +141,6 @@ def build_machine(spec: ExperimentSpec) -> "tuple[Machine, Any]":
         system=spec.system,
         prefetch=spec.prefetch,
         drain_policy=spec.drain_policy,
-        compiled_traces=spec.compiled_traces,
     )
     return machine, workload
 

@@ -61,7 +61,6 @@ _SPEC_FIELDS = (
     "drain_policy",
     "config",
     "audit",
-    "compiled_traces",
     "faults",
     "app_params",
 )

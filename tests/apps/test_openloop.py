@@ -277,7 +277,7 @@ def test_trace_parse_errors(tmp_path):
         TraceDrivenWorkload(str(ok), catalog_pages=4)
 
 
-def test_trace_cache_key_covers_file_contents(tmp_path):
+def test_trace_key_covers_file_contents(tmp_path):
     from repro.core.trace import trace_key
 
     path = tmp_path / "sched.txt"

@@ -1,16 +1,8 @@
 """Shared test fixtures: tiny machines and synthetic workloads."""
 
-import os
 from typing import List, Optional
 
 import pytest
-
-# Keep the suite hermetic: never read or write the user's on-disk trace
-# cache (a stale trace would mask driver changes; compilation at test
-# scale is cheap and the in-process memo still shares work).  Tests that
-# exercise the disk layer pass an explicit TraceCache or set the
-# variable themselves.
-os.environ.setdefault("NWCACHE_TRACE_CACHE", "0")
 
 
 def pytest_addoption(parser):

@@ -1,5 +1,6 @@
-"""The trace compiler: compiled arrays decode to exactly the generator
-stream, keys cover every input, and the on-disk cache round-trips.
+"""Trace compilation: compiled arrays decode to exactly the generator
+stream, keys cover every input, and the in-process memo shares one
+compilation per distinct input.
 
 The compiled path's correctness story has two halves: this module pins
 *stream* equivalence (compile → decode == generate) and key hygiene;
@@ -10,19 +11,12 @@ import pytest
 
 from repro.apps import APP_NAMES, make_app
 from repro.core.runner import linear_scale
-from repro.core.cache import CORRUPT_DIR, read_envelope, write_envelope
 from repro.core.trace import (
-    _TRACE_MAGIC,
-    TRACE_FORMAT_VERSION,
-    CompiledTrace,
     KIND_BARRIER,
     KIND_VISIT,
-    TraceCache,
     clear_memo,
     compile_workload,
     get_trace,
-    resolve_trace_cache,
-    trace_cache_enabled,
     trace_key,
     workload_fingerprint,
 )
@@ -162,112 +156,34 @@ def test_fingerprint_separates_classes_with_same_params():
     assert workload_fingerprint(a) != workload_fingerprint(b)
 
 
-# ------------------------------------------------------------- disk cache
-def test_trace_cache_roundtrip(tmp_path):
-    cache = TraceCache(tmp_path)
-    app = app_at_scale("fft")
-    trace = compile_workload(app, 4, SEED)
-    key = trace_key(app, 4, SEED)
-    assert key not in cache
-    assert cache.get(key) is None
-    cache.put(key, trace)
-    assert key in cache
-    assert len(cache) == 1
-    back = cache.get(key)
-    assert isinstance(back, CompiledTrace)
-    assert back.app == "fft"
+# ------------------------------------------------------------------- memo
+@pytest.fixture
+def fresh_memo():
+    clear_memo()
+    yield
+    clear_memo()
+
+
+def test_get_trace_memoizes_until_cleared(fresh_memo):
+    a = get_trace(app_at_scale("mg"), 4, SEED)
+    b = get_trace(app_at_scale("mg"), 4, SEED)
+    assert a is b  # equal inputs share one compilation
+    clear_memo()
+    c = get_trace(app_at_scale("mg"), 4, SEED)
+    assert c is not a  # a cleared memo recompiles
     for proc in range(4):
-        assert list(back.items(proc)) == list(trace.items(proc))
-    assert (cache.hits, cache.misses) == (1, 1)
-    assert cache.clear() == 1
-    assert len(cache) == 0
+        assert list(c.items(proc)) == list(a.items(proc))
 
 
-def test_trace_cache_rejects_corrupt_and_foreign_entries(tmp_path):
-    cache = TraceCache(tmp_path)
-    app = app_at_scale("lu")
-    key = trace_key(app, 4, SEED)
-    path = cache._path(key)
-    path.parent.mkdir(parents=True)
-    path.write_bytes(b"not a pickle")
-    assert cache.get(key) is None
-    import pickle
-
-    path.write_bytes(pickle.dumps({"not": "a trace"}))
-    assert cache.get(key) is None
-    stale = compile_workload(app, 4, SEED)
-    stale.version = -1
-    cache.put(key, stale)
-    assert cache.get(key) is None  # format version mismatch
-
-
-def test_previous_format_entry_is_recompiled_not_loaded(tmp_path):
-    """An entry written by the previous trace format (v3 carried a
-    ``reuse`` column) is quarantined and recompiled, never replayed."""
-    cache = TraceCache(tmp_path)
-    app = app_at_scale("sor")
-    key = trace_key(app, 4, SEED)
-    old = compile_workload(app, 4, SEED)
-    old.version = TRACE_FORMAT_VERSION - 1
-    old.reuse = [k.astype("int64") for k in old.kinds]
-    write_envelope(cache._path(key), _TRACE_MAGIC, old.version, old)
-    clear_memo()
-    try:
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            trace = get_trace(app, 4, SEED, cache=cache)
-    finally:
-        clear_memo()
-    assert trace is not old
-    assert trace.version == TRACE_FORMAT_VERSION
-    assert not hasattr(trace, "reuse")
-    assert (cache.hits, cache.misses) == (0, 1)
-    assert list((tmp_path / CORRUPT_DIR).iterdir())  # old file set aside
-    stored = read_envelope(cache._path(key), _TRACE_MAGIC,
-                           TRACE_FORMAT_VERSION)
-    assert stored.version == TRACE_FORMAT_VERSION
-
-
-def test_kill_switch_disables_default_cache(monkeypatch, tmp_path):
-    monkeypatch.setenv("NWCACHE_TRACE_CACHE", "0")
-    assert not trace_cache_enabled()
-    assert resolve_trace_cache(None) is None
-    # explicit caches are exempt from the kill switch
-    explicit = TraceCache(tmp_path)
-    assert resolve_trace_cache(explicit) is explicit
-    assert resolve_trace_cache(False) is None
-    monkeypatch.setenv("NWCACHE_TRACE_CACHE", "1")
-    assert trace_cache_enabled()
-    monkeypatch.setenv("NWCACHE_CACHE_DIR", str(tmp_path))
-    resolved = resolve_trace_cache(None)
-    assert resolved is not None
-    assert resolved.directory == tmp_path / "traces"
-
-
-def test_get_trace_memoizes_and_hits_disk(tmp_path):
-    cache = TraceCache(tmp_path)
-    app = app_at_scale("mg")
-    clear_memo()
-    try:
-        a = get_trace(app, 4, SEED, cache=cache)
-        b = get_trace(app_at_scale("mg"), 4, SEED, cache=cache)
-        assert a is b  # in-process memo shares the compilation
-        clear_memo()
-        c = get_trace(app_at_scale("mg"), 4, SEED, cache=cache)
-        assert cache.hits == 1  # fresh process would reload from disk
-        assert list(c.items(0)) == list(a.items(0))
-    finally:
-        clear_memo()
-
-
-def test_changed_inputs_compile_distinct_traces(tmp_path):
-    """Cache invalidation: changed seed/scale produce different keys and
-    different cached entries, never a stale reuse."""
-    cache = TraceCache(tmp_path)
-    clear_memo()
-    try:
-        get_trace(app_at_scale("radix"), 4, SEED, cache=cache)
-        get_trace(app_at_scale("radix"), 4, SEED + 1, cache=cache)
-        get_trace(app_at_scale("radix", 0.15), 4, SEED, cache=cache)
-        assert len(cache) == 3
-    finally:
-        clear_memo()
+def test_changed_inputs_compile_distinct_traces(fresh_memo):
+    """Memo invalidation: a changed seed, scale or node count compiles a
+    distinct trace, never a stale reuse."""
+    base = get_trace(app_at_scale("radix"), 4, SEED)
+    other_seed = get_trace(app_at_scale("radix"), 4, SEED + 1)
+    other_scale = get_trace(app_at_scale("radix", 0.15), 4, SEED)
+    other_nodes = get_trace(app_at_scale("radix"), 2, SEED)
+    traces = [base, other_seed, other_scale, other_nodes]
+    assert len({id(t) for t in traces}) == 4
+    assert (other_seed.seed, other_nodes.n_nodes) == (SEED + 1, 2)
+    assert other_scale.total_pages != base.total_pages
+    assert get_trace(app_at_scale("radix"), 4, SEED) is base

@@ -90,11 +90,3 @@ def test_workload_can_opt_out_of_compilation():
         SimConfig.tiny(), "standard", "optimal", compiled_traces=False
     ).run(SyntheticWorkload(n_pages=8, sweeps=1))
     assert snapshot(res) == snapshot(gen)
-
-
-def test_env_kill_switch_disables_compiled_path(monkeypatch):
-    monkeypatch.setenv("NWCACHE_COMPILED_TRACES", "0")
-    m = Machine(SimConfig.tiny(), "standard", "optimal")
-    assert m.compiled_traces is False
-    monkeypatch.delenv("NWCACHE_COMPILED_TRACES")
-    assert Machine(SimConfig.tiny(), "standard", "optimal").compiled_traces

@@ -13,9 +13,9 @@ from tests.conftest import JUMPED
 SCALE = 0.05
 
 
-def test_profile_absent_with_epochs_off(monkeypatch):
-    monkeypatch.setenv("NWCACHE_COMPILED_TRACES", "0")
-    res = run_experiment("zipf", "nwcache", "naive", data_scale=SCALE)
+def test_profile_absent_with_epochs_off():
+    res = run_experiment("zipf", "nwcache", "naive", data_scale=SCALE,
+                         compiled_traces=False)
     assert not any(k.startswith("epoch_") for k in res.extras)
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
-from repro.core.cache import _canonical, cache_key
+from repro.core.cache import cache_key
+from repro.core.keys import canonical
 
 CFG = SimConfig.tiny()
 
@@ -63,7 +64,7 @@ def test_key_is_insensitive_to_dict_order(params, seed):
 @given(params=param_dicts)
 @settings(max_examples=100, deadline=None)
 def test_canonical_is_deterministic_and_key_repeatable(params):
-    assert _canonical(params) == _canonical(params)
+    assert canonical(params) == canonical(params)
     assert _key(params) == _key(params)
 
 

@@ -122,26 +122,6 @@ def test_run_with_profile_dump(tmp_path, capsys):
     assert stats.total_calls > 0
 
 
-def test_run_without_compiled_traces_matches(capsys):
-    assert main(["run", "lu", "--scale", "0.05"]) == 0
-    compiled = capsys.readouterr().out
-    assert main(["run", "lu", "--scale", "0.05",
-                 "--no-compiled-traces"]) == 0
-    generator = capsys.readouterr().out
-    assert generator == compiled  # trajectory-neutral
-
-
-def test_trace_compile_command(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NWCACHE_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("NWCACHE_TRACE_CACHE", "1")
-    rc = main(["trace", "compile", "sor", "--scale", "0.1"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "compiled sor" in out
-    assert "trace key" in out
-    assert list((tmp_path / "traces").glob("*/*.pkl"))
-
-
 def test_service_work_jobs(tmp_path, capsys, monkeypatch):
     """``service work --jobs N`` keeps N cells in flight."""
     import repro.service.worker as worker_mod
