@@ -16,7 +16,11 @@ pytest, the way an operator would hit it:
    is mid-simulation with checkpoints on, assert the orphaned child
    exits within 5 s (it must not keep appending to the checkpoint a
    successor resumes from), and check a survivor's results the same
-   way.
+   way;
+6. append half a record to a half-finished sweep's journal (a writer
+   that crashed mid-append), resume it with a fresh worker, and check
+   its results the same way and that the journal then replays whole:
+   no ``JournalCorruption`` and no torn tail left behind.
 
 Pass ``--artifact-dir DIR`` to keep the survivor's journal and the
 resumed checkpoint journal for upload/inspection.  Exits non-zero on
@@ -38,7 +42,7 @@ from repro.core.cache import ResultCache
 from repro.core.export import result_to_full_dict
 from repro.service import SweepQueue, Worker
 from repro.service.checkpoint import run_with_checkpoints
-from repro.service.journal import Journal
+from repro.service.journal import Journal, JournalCorruption, record_line
 from repro.service.lease import DONE, LEASED
 
 SCALE = 0.05
@@ -272,6 +276,34 @@ def main() -> None:
         ]
         check(len(snaps) >= KILL_AT_SNAPSHOT, "checkpoints survived the kill")
         settle_and_compare(queue, ResultCache(cache_dir), keys, reference)
+
+        print("torn journal tail (half a record, then resume):")
+        sweep_root = root / "torn"
+        queue = SweepQueue(sweep_root, lease_duration=1.0)
+        cache = ResultCache(root / "torn-cache")
+        check(queue.submit(specs()) == keys, "same specs key identically")
+        Worker(queue, cache=cache, worker_id="first", max_cells=1, jobs=1).run()
+        check(queue.state().counts()[DONE] == 1, "half the sweep is done")
+        line = record_line(
+            {"type": "renew", "key": keys[1], "worker": "crashed",
+             "expires": 0.0, "at": 0.0}
+        )
+        with open(queue.journal.path, "ab") as fh:
+            fh.write(line[: len(line) // 2])
+        journal = Journal(queue.journal.path)
+        journal.replay()
+        check(journal.truncated_tail, "the journal ends in half a record")
+        settle_and_compare(
+            SweepQueue(sweep_root, lease_duration=1.0), cache, keys, reference
+        )
+        try:
+            journal.replay()
+        except JournalCorruption as exc:
+            check(False, f"the resumed journal replays ({exc})")
+        check(
+            not journal.truncated_tail,
+            "the resumed journal replays whole (the torn record was cut)",
+        )
 
     print("resilience smoke: all checks passed")
 

@@ -12,11 +12,15 @@ never to silent corruption:
   file, with the line written in a single ``write`` and fsync'd before
   the lock is released, so concurrent writers never interleave bytes
   and an acknowledged record survives the process;
-* replay (:meth:`Journal.replay`) validates every line; a damaged or
-  incomplete **tail** record (the only kind a crash can produce) is
-  dropped with :attr:`Journal.truncated_tail` set, while a damaged
-  record in the *middle* of the file — which no crash of this writer
-  can produce — raises :class:`JournalCorruption` loudly.
+* reads (:meth:`Journal.read_from`, and :meth:`Journal.replay` for the
+  whole file) validate every line; a damaged or incomplete **tail**
+  record (the only kind a crash can produce) is dropped with
+  :attr:`Journal.truncated_tail` set, while a damaged record in the
+  *middle* of the file — which no crash of this writer can produce —
+  raises :class:`JournalCorruption` loudly;
+* the next append cuts such a tail off before it writes, so the file
+  only ever grows by whole records: nothing rewrites it, and a byte
+  offset at a record boundary stays one for the journal's lifetime.
 
 The journal itself is order-preserving but deliberately dumb: the
 state-machine semantics (idempotence, lease arbitration) live in
@@ -31,7 +35,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.ioutil import fsync_directory
 
@@ -104,9 +108,12 @@ class Journal:
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
         self.lock_path = self.path.with_name(self.path.name + ".lock")
-        #: set by the last :meth:`replay`: a damaged/incomplete final
-        #: record was dropped (the fingerprint of an interrupted append)
+        #: set by the last read: a damaged/incomplete final record was
+        #: dropped (the fingerprint of an interrupted append)
         self.truncated_tail = False
+        #: a record boundary this object has read or written up to; an
+        #: append that finds the file longer validates from here
+        self._end = 0
 
     def exists(self) -> bool:
         return self.path.exists()
@@ -124,22 +131,42 @@ class Journal:
         with locked(self.lock_path):
             self._append_unlocked(records)
 
-    def _append_unlocked(self, records: List[Dict[str, Any]]) -> None:
+    def _append_unlocked(self, records: List[Dict[str, Any]]) -> int:
+        """Write ``records`` after the last valid record; return the new
+        end offset.  The caller holds the lock.
+
+        A torn tail left by a writer that crashed mid-append is cut off
+        first: writing after it would hide the new records behind the
+        damage, and the append after that would turn it into mid-file
+        damage that no replay gets past.
+        """
         data = b"".join(record_line(r) for r in records)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         first_write = not self.path.exists()
         fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
         try:
+            size = os.fstat(fd).st_size
+            end = self._end
+            if size != end:
+                # bytes this object has not validated: other writers'
+                # records, or a torn tail (a file shorter than ``end``
+                # was deleted and recreated, so read it all)
+                end = self.read_from(end if end < size else 0)[1]
+                if end < size:
+                    os.ftruncate(fd, end)
             os.write(fd, data)
             os.fsync(fd)
         finally:
             os.close(fd)
         if first_write:
             fsync_directory(self.path.parent)
+        self._end = end + len(data)
+        return self._end
 
     # ------------------------------------------------------------- reading
-    def replay(self) -> List[Dict[str, Any]]:
-        """Every valid record, in append order.
+    def read_from(self, offset: int) -> Tuple[List[Dict[str, Any]], int]:
+        """Every valid record from byte ``offset`` (a record boundary)
+        on, and the byte just past the last of them.
 
         Tolerates exactly the damage a crash can cause: a final record
         that is incomplete (no newline) or checksum-corrupt is dropped
@@ -150,10 +177,13 @@ class Journal:
         """
         self.truncated_tail = False
         try:
-            raw = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                fh.seek(offset)
+                raw = fh.read()
         except FileNotFoundError:
-            return []
+            return [], 0
         records: List[Dict[str, Any]] = []
+        end = offset
         lines = raw.split(b"\n")
         # a well-formed file ends with a newline, so the final split
         # element is empty; anything else is an interrupted append
@@ -171,36 +201,17 @@ class Journal:
                     self.truncated_tail = True
                     break
                 raise JournalCorruption(
-                    f"{self.path}: record {i + 1}/{len(complete)} is "
-                    f"damaged ({exc}); refusing to replay past it"
+                    f"{self.path}: record {i + 1}/{len(complete)} from "
+                    f"byte {offset} is damaged ({exc}); refusing to "
+                    f"read past it"
                 ) from exc
-        return records
+            end += len(line) + 1
+        self._end = end
+        return records, end
 
-    def _rewrite_unlocked(self, records: List[Dict[str, Any]]) -> None:
-        """Replace the journal's contents (tmp + fsync + rename).
-
-        Caller must hold the journal lock.  Readers racing the rename
-        see either the old or the new journal, never a mixture.
-        """
-        import tempfile
-
-        data = b"".join(record_line(r) for r in records)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".jtmp")
-        try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        try:
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        fsync_directory(self.path.parent)
+    def replay(self) -> List[Dict[str, Any]]:
+        """Every valid record, in append order (see :meth:`read_from`)."""
+        return self.read_from(0)[0]
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         return iter(self.replay())
@@ -211,12 +222,3 @@ class Journal:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Journal({str(self.path)!r})"
 
-
-def atomic_rewrite(journal: Journal, records: List[Dict[str, Any]]) -> None:
-    """Replace a journal's contents atomically (tmp + fsync + rename).
-
-    Used for compaction; readers racing the rename see either the old
-    or the new journal, never a mixture.
-    """
-    with locked(journal.lock_path):
-        journal._rewrite_unlocked(records)

@@ -33,13 +33,14 @@ import json
 import os
 import socket
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.batch import ExperimentSpec, FailedSpec
 from repro.core.runner import env_fault_spec
-from repro.service.journal import Journal
+from repro.service.journal import Journal, locked
 
 #: cell states
 PENDING = "pending"
@@ -132,8 +133,11 @@ class SpecState:
 
     def to_failed_spec(self) -> FailedSpec:
         """The terminal-failure view of this cell (status ``failed``)."""
+        # unknown fields are dropped: a cell that failed for carrying
+        # them (see SweepQueue.claim) still reports what it was
+        known = {k: v for k, v in self.spec.items() if k in _SPEC_FIELDS}
         return FailedSpec(
-            self.to_experiment_spec(),
+            ExperimentSpec(**known),
             kind=self.last_kind,
             error=self.last_error or "retry budget exhausted",
             attempts=self.attempts,
@@ -152,7 +156,10 @@ class SweepState:
         """Fold one record in.  Idempotent; unknown types are ignored
         (forward compatibility), records for unknown keys are ignored
         (a truncated journal may have lost the submit — the cell then
-        simply does not exist yet)."""
+        simply does not exist yet).  ``snapshot`` records, written by
+        the journal compaction of older versions, are refused: each
+        stood for a cell's whole history, so skipping one would drop
+        the cell."""
         rtype = rec.get("type")
         if rtype == "submit":
             key = rec["key"]
@@ -161,8 +168,12 @@ class SweepState:
                 self.order.append(key)
             return
         if rtype == "snapshot":
-            self._apply_snapshot(rec)
-            return
+            raise ValueError(
+                "journal holds a 'snapshot' record, written by the journal "
+                "compaction of an older version; this version cannot "
+                "replay compacted journals (resubmit the sweep in a new "
+                "directory)"
+            )
         cell = self.cells.get(rec.get("key"))
         if cell is None:
             return
@@ -220,58 +231,6 @@ class SweepState:
             cell.lease_attempt = attempt
             cell.lease_expires = expires
 
-    def _apply_snapshot(self, rec: Dict[str, Any]) -> None:
-        """Fold a compaction snapshot (see :func:`snapshot_record`).
-
-        A snapshot opening a compacted journal simply *is* the cell's
-        state.  The merge below is monotone for the same reason every
-        other fold is — ``done`` absorbs, counters only grow, marks are
-        unions, lease arbitration is ordered — so replaying a snapshot
-        twice, or merging one with live records that raced the
-        compaction, never resurrects concluded work.
-        """
-        key = rec["key"]
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = SpecState(key=key, spec=rec["spec"])
-            self.cells[key] = cell
-            self.order.append(key)
-        cell.attempts = max(cell.attempts, int(rec["attempts"]))
-        cell.not_before = max(cell.not_before, float(rec["not_before"]))
-        cell.done_marks |= {(w, int(a)) for w, a in rec["done"]}
-        cell.executed_marks |= {(w, int(a)) for w, a in rec["executed"]}
-        cell.fail_marks |= {(w, int(a)) for w, a in rec["fail"]}
-        if rec.get("last_error"):
-            cell.last_error = str(rec["last_error"])
-            cell.last_kind = str(rec.get("last_kind", "error"))
-        status = rec["status"]
-        if cell.status != DONE:
-            if status == DONE:
-                cell.status = DONE
-                cell.worker = None
-            elif status == FAILED:
-                cell.status = FAILED
-                cell.worker = None
-            elif status == LEASED and cell.status != FAILED:
-                self._apply_lease(
-                    cell,
-                    {
-                        "worker": rec["worker"],
-                        "attempt": rec["lease_attempt"],
-                        "expires": rec["lease_expires"],
-                    },
-                )
-        if cell.status != LEASED:
-            # restore the (stale, but replay-visible) lease bookkeeping
-            # of concluded cells so compaction is byte-for-byte exact;
-            # a *live* lease's fields stay whatever arbitration decided
-            cell.lease_attempt = max(
-                cell.lease_attempt, int(rec["lease_attempt"])
-            )
-            cell.lease_expires = max(
-                cell.lease_expires, float(rec["lease_expires"])
-            )
-
     def _apply_fail(self, cell: SpecState, rec: Dict[str, Any]) -> None:
         worker, attempt = rec["worker"], int(rec["attempt"])
         mark = (worker, attempt)
@@ -325,32 +284,6 @@ class SweepState:
         return None
 
 
-def snapshot_record(cell: SpecState) -> Dict[str, Any]:
-    """One cell's full replay-derived state as a compaction record.
-
-    Appending these (one per cell, in submission order) to an empty
-    journal reproduces the folded state exactly — that equivalence is
-    what lets :meth:`SweepQueue.maybe_compact` rewrite a long journal
-    as ``len(cells)`` lines without changing any future decision.
-    """
-    return {
-        "type": "snapshot",
-        "key": cell.key,
-        "spec": cell.spec,
-        "status": cell.status,
-        "worker": cell.worker,
-        "lease_attempt": cell.lease_attempt,
-        "lease_expires": cell.lease_expires,
-        "attempts": cell.attempts,
-        "not_before": cell.not_before,
-        "last_error": cell.last_error,
-        "last_kind": cell.last_kind,
-        "done": sorted([w, a] for w, a in cell.done_marks),
-        "executed": sorted([w, a] for w, a in cell.executed_marks),
-        "fail": sorted([w, a] for w, a in cell.fail_marks),
-    }
-
-
 def replay_state(journal: Journal) -> SweepState:
     """Fold a journal into a :class:`SweepState`."""
     state = SweepState()
@@ -370,6 +303,10 @@ class SweepQueue:
     All mutation goes through read-decide-append critical sections under
     the journal's cross-process lock, so any number of workers — and the
     submitter, and ``repro serve`` — can share ``root`` concurrently.
+    Each queue folds the journal incrementally: a critical section
+    applies only the records appended since the last one (other
+    workers' included), so a sweep's queue work is linear in its
+    journal, not quadratic.
 
     Parameters
     ----------
@@ -388,12 +325,6 @@ class SweepQueue:
     backoff_base:
         Base of the exponential re-queue backoff: attempt ``n`` becomes
         claimable ``backoff_base * 2**(n-1)`` seconds after it failed.
-    compact_threshold:
-        Journal line count past which :meth:`maybe_compact` rewrites
-        the journal as one snapshot record per cell.  ``None`` disables
-        compaction.  Long sweeps append every renewal and retry, so
-        an uncompacted journal grows without bound while every
-        operation replays all of it.
     """
 
     def __init__(
@@ -402,7 +333,6 @@ class SweepQueue:
         lease_duration: float = 60.0,
         retry_budget: int = 3,
         backoff_base: float = 2.0,
-        compact_threshold: Optional[int] = 4096,
     ) -> None:
         if lease_duration <= 0:
             raise ValueError(
@@ -410,22 +340,46 @@ class SweepQueue:
             )
         if retry_budget < 1:
             raise ValueError(f"retry_budget must be >= 1, got {retry_budget}")
-        if compact_threshold is not None and compact_threshold < 1:
-            raise ValueError(
-                f"compact_threshold must be >= 1 or None, "
-                f"got {compact_threshold}"
-            )
         self.root = Path(root)
         self.journal = Journal(self.root / JOURNAL_NAME)
         self.lease_duration = float(lease_duration)
         self.retry_budget = int(retry_budget)
         self.backoff_base = float(backoff_base)
-        self.compact_threshold = compact_threshold
+        #: the journal folded up to byte ``_offset`` (see :meth:`_folded`)
+        self._state = SweepState()
+        self._offset = 0
 
     # ---------------------------------------------------------------- state
     def state(self) -> SweepState:
         """Fresh replay of the journal (the journal is the only truth)."""
         return replay_state(self.journal)
+
+    @contextmanager
+    def _folded(self) -> Iterator[SweepState]:
+        """Hold the journal lock with the folded state caught up on
+        every record appended since the last call.
+
+        The journal only grows by whole records, so the records past
+        ``_offset`` are exactly the ones not folded yet.  Records the
+        caller applies must reach the journal through :meth:`_append`
+        before the block ends; if anything raises, the fold starts over
+        from the file next time.
+        """
+        with locked(self.journal.lock_path):
+            try:
+                records, self._offset = self.journal.read_from(self._offset)
+                for rec in records:
+                    self._state.apply(rec)
+                yield self._state
+            except BaseException:
+                self._state, self._offset = SweepState(), 0
+                raise
+
+    def _append(self, records: List[Dict[str, Any]]) -> None:
+        """Journal records already applied to the folded state (inside
+        :meth:`_folded`)."""
+        if records:
+            self._offset = self.journal._append_unlocked(records)
 
     def checkpoint_path(self, key: str) -> Path:
         return self.root / "checkpoints" / f"{key}.ckpt"
@@ -449,24 +403,15 @@ class SweepQueue:
             key = spec_from_dict(d).key()
             keys.append(key)
             prepared.append((key, d))
-        from repro.service.journal import locked
-
-        with locked(self.journal.lock_path):
-            state = replay_state(self.journal)
-            fresh = [
-                {"type": "submit", "key": key, "spec": d}
-                for key, d in prepared
-                if key not in state.cells
-            ]
-            # dedupe within the submission itself
-            seen: Set[str] = set()
-            unique = []
-            for rec in fresh:
-                if rec["key"] not in seen:
-                    seen.add(rec["key"])
-                    unique.append(rec)
-            if unique:
-                self.journal._append_unlocked(unique)
+        with self._folded() as state:
+            fresh = []
+            for key, d in prepared:
+                # applying as we go dedupes within the submission too
+                if key not in state.cells:
+                    rec = {"type": "submit", "key": key, "spec": d}
+                    state.apply(rec)
+                    fresh.append(rec)
+            self._append(fresh)
         return keys
 
     # ---------------------------------------------------------------- claim
@@ -482,45 +427,60 @@ class SweepQueue:
         the oldest pending cell whose backoff has elapsed.  Returns
         ``(key, spec, attempt)`` or ``None`` when nothing is claimable
         right now (the queue may still hold backed-off or leased cells —
-        check :meth:`state`).
+        check :meth:`state`).  A cell whose journaled spec this version
+        cannot build (say, one submitted by an older version) fails for
+        good, with the reason, and the next cell is leased instead.
         """
         if now is None:
             now = time.time()
         duration = (
             self.lease_duration if lease_duration is None else lease_duration
         )
-        from repro.service.journal import locked
-
-        with locked(self.journal.lock_path):
-            state = replay_state(self.journal)
-            to_append: List[Dict[str, Any]] = []
-            for cell in state.expired_leases(now):
-                rec = {
+        with self._folded() as state:
+            to_append: List[Dict[str, Any]] = [
+                {
                     "type": "requeue",
                     "key": cell.key,
                     "worker": cell.worker,
                     "expires": cell.lease_expires,
                     "at": now,
                 }
-                to_append.append(rec)
+                for cell in state.expired_leases(now)
+            ]
+            for rec in to_append:
                 state.apply(rec)
-            cell = state.claimable(now)
-            if cell is not None:
+            claimed = None
+            while claimed is None:
+                cell = state.claimable(now)
+                if cell is None:
+                    break
                 attempt = cell.attempts + 1
-                rec = {
-                    "type": "lease",
-                    "key": cell.key,
-                    "worker": worker,
-                    "attempt": attempt,
-                    "expires": now + duration,
-                }
+                try:
+                    spec = cell.to_experiment_spec()
+                except (TypeError, ValueError) as exc:
+                    rec = {
+                        "type": "fail",
+                        "key": cell.key,
+                        "worker": worker,
+                        "attempt": attempt,
+                        "error": f"unbuildable spec: {exc}"[:2000],
+                        "kind": "error",
+                        "terminal": True,
+                        "not_before": now,
+                    }
+                else:
+                    rec = {
+                        "type": "lease",
+                        "key": cell.key,
+                        "worker": worker,
+                        "attempt": attempt,
+                        "expires": now + duration,
+                    }
+                    claimed = cell.key, spec, attempt
                 to_append.append(rec)
                 state.apply(rec)
-            if to_append:
-                self.journal._append_unlocked(to_append)
-            if cell is None:
-                return None
-            return cell.key, cell.to_experiment_spec(), cell.attempts
+            self._append(to_append)
+        return claimed
 
     def renew(self, key: str, worker: str, now: Optional[float] = None) -> None:
         """Extend ``worker``'s lease on ``key`` (dated ``now``)."""
@@ -586,34 +546,6 @@ class SweepQueue:
             }
         )
         return terminal
-
-    # ----------------------------------------------------------- compaction
-    def maybe_compact(self) -> bool:
-        """Compact the journal if it has outgrown ``compact_threshold``.
-
-        Rewrites it atomically as one :func:`snapshot_record` per cell
-        (submission order preserved); the replayed state — and thus
-        every future claim, retry, and status decision — is unchanged.
-        Safe to call from any worker or status path at any time: the
-        rewrite happens under the journal's cross-process lock, and a
-        reader racing the rename sees the old or new file, never a mix.
-        Returns True when a rewrite happened.
-        """
-        if self.compact_threshold is None:
-            return False
-        from repro.service.journal import locked
-
-        with locked(self.journal.lock_path):
-            records = self.journal.replay()
-            if len(records) <= self.compact_threshold:
-                return False
-            state = SweepState()
-            for rec in records:
-                state.apply(rec)
-            self.journal._rewrite_unlocked(
-                [snapshot_record(state.cells[key]) for key in state.order]
-            )
-        return True
 
     # -------------------------------------------------------------- results
     def failed_specs(self) -> List[FailedSpec]:

@@ -2,9 +2,10 @@
 
 A thin, dependency-free (stdlib ``http.server``) front end for a
 :class:`~repro.service.lease.SweepQueue`.  The server owns **no state**
-— every request is answered by replaying the journal — so it can be
-killed and restarted at any point, run next to live workers, or run on
-a different host that mounts the sweep directory.
+— status, progress and results replay the journal, and submissions fold
+it in under its lock — so it can be killed and restarted at any point,
+run next to live workers, or run on a different host that mounts the
+sweep directory.
 
 Routes
 ------
@@ -107,10 +108,6 @@ class SweepRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path = self.path.rstrip("/") or "/"
         if path == "/status":
-            # status is the natural janitor: it replays the whole
-            # journal anyway, so fold it down first if it has outgrown
-            # the queue's threshold
-            self.server.queue.maybe_compact()
             self._send_json(asdict_state(self.server.queue.state()))
         elif path.startswith("/result/"):
             self._get_result(path[len("/result/") :])

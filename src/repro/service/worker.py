@@ -165,10 +165,6 @@ class Worker:
                     wait = min(wait, self.poll_interval)
                 for (key, spec, attempt), kind, value in cells.wait(wait):
                     self._conclude(stats, key, spec, attempt, kind, value)
-                    # Renewals and retries grow the journal forever;
-                    # fold it down once it passes the queue's threshold
-                    # so replay cost stays bounded over long sweeps.
-                    self.queue.maybe_compact()
                 if time.monotonic() >= next_renew:
                     for key, _spec, _attempt in cells.tags():
                         try:
@@ -204,7 +200,6 @@ class Worker:
                 stats.cached += 1
                 stats.results[key] = hit
                 self._emit("cached", spec, key)
-                self.queue.maybe_compact()
                 continue
             cells.start((key, spec, attempt), self._execute, key, spec)
         return False

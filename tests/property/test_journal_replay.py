@@ -1,6 +1,6 @@
 """Properties of the sweep journal and its replayed state machine.
 
-Four contracts back every crash-recovery claim the service makes, and
+Five contracts back every crash-recovery claim the service makes, and
 Hypothesis drives each across arbitrary histories:
 
 * **line safety** — any JSON record survives ``record_line`` /
@@ -13,12 +13,16 @@ Hypothesis drives each across arbitrary histories:
   (done / fail marks), any interleaving converges to the same outcome:
   a cell with a ``done`` record anywhere ends done, and per-attempt
   marks never double-count executions;
-* **compaction exactness** — one snapshot record per cell folds back
-  into exactly the state it was taken from.
+* **incremental fold** — queues sharing a directory fold the journal
+  incrementally, and whatever the interleaving of their operations
+  with a third writer's raw appends and torn tails, each one's folded
+  state equals a fresh replay.
 """
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +30,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import ExperimentSpec
 from repro.service.journal import Journal, parse_line, record_line
-from repro.service.lease import DONE, SweepState, snapshot_record
+from repro.service.lease import (
+    DONE,
+    SweepQueue,
+    SweepState,
+    replay_state,
+    spec_from_dict,
+    spec_to_dict,
+)
 
 # ----------------------------------------------------------------- strategies
 json_scalars = st.one_of(
@@ -153,20 +165,6 @@ def test_replay_is_idempotent_under_full_duplication(ops):
     assert _observable(once) == _observable(twice)
 
 
-@given(ops=st.lists(cell_ops(), max_size=20))
-@settings(max_examples=100)
-def test_compaction_snapshots_fold_to_the_same_state(ops):
-    """Compaction rewrites a journal as one snapshot record per cell;
-    folding those must rebuild every field of every cell exactly."""
-    state = _fold(_submits() + ops)
-    compacted = _fold([snapshot_record(state.cells[k]) for k in state.order])
-    assert compacted.order == state.order
-    for key in state.order:
-        assert dataclasses.asdict(compacted.cells[key]) == dataclasses.asdict(
-            state.cells[key]
-        )
-
-
 @given(ops=st.lists(cell_ops(), max_size=16), data=st.data())
 @settings(max_examples=100)
 def test_done_and_marks_converge_under_any_interleaving(ops, data):
@@ -199,3 +197,75 @@ def test_every_journal_prefix_is_a_valid_state(ops):
             assert cell.executed_runs <= len(cell.done_marks)
             assert cell.attempts >= 0
             json.dumps(cell.spec)
+
+
+# ----------------------------------------------------------- incremental fold
+#: real cells for the queue-level property; a third writer's raw records
+#: name the same keys
+SPECS = [
+    ExperimentSpec(app, "nwcache", "naive", data_scale=0.05)
+    for app in ("sor", "fft", "lu")
+]
+SPEC_DICTS = [spec_to_dict(spec) for spec in SPECS]
+SPEC_KEYS = [spec_from_dict(d).key() for d in SPEC_DICTS]
+
+
+@st.composite
+def queue_ops(draw):
+    """One operation by queue 0 or 1, or by the raw third writer."""
+    actor = draw(st.sampled_from([0, 1, "raw", "torn"]))
+    if actor == "raw":
+        rec = draw(cell_ops())
+        rec["key"] = SPEC_KEYS[["cell-a", "cell-b", "cell-c"].index(rec["key"])]
+        return ("raw", rec)
+    if actor == "torn":
+        rec = draw(cell_ops())
+        line = record_line(rec)
+        # a crash mid-append never gets as far as the newline
+        cut = draw(st.integers(min_value=1, max_value=len(line) - 1))
+        return ("torn", line[:cut])
+    cell = draw(st.integers(min_value=0, max_value=len(SPECS) - 1))
+    kind = draw(st.sampled_from(["submit", "claim", "renew", "complete",
+                                 "fail"]))
+    return (actor, kind, cell, draw(workers), draw(attempts), draw(times))
+
+
+def _run_queue_op(queue, kind, cell, worker, attempt, now):
+    key = SPEC_KEYS[cell]
+    if kind == "submit":
+        queue.submit(SPECS[: cell + 1])
+    elif kind == "claim":
+        queue.claim(worker, now=now)
+    elif kind == "renew":
+        queue.renew(key, worker, now=now)
+    elif kind == "complete":
+        queue.complete(key, worker, attempt, executed=attempt % 2 == 1)
+    else:
+        queue.fail(key, worker, attempt, "boom", now=now)
+
+
+def _full_view(state):
+    return [
+        (key, dataclasses.asdict(state.cells[key])) for key in state.order
+    ]
+
+
+@given(ops=st.lists(queue_ops(), max_size=25))
+@settings(max_examples=60, deadline=None)
+def test_incremental_fold_equals_fresh_replay(ops):
+    with tempfile.TemporaryDirectory() as root:
+        queues = [SweepQueue(root, lease_duration=50.0, retry_budget=2)
+                  for _ in range(2)]
+        third = Journal(Path(root) / queues[0].journal.path.name)
+        for op in ops:
+            if op[0] == "raw":
+                third.append(op[1])
+            elif op[0] == "torn":
+                with open(third.path, "ab") as fh:
+                    fh.write(op[1])
+            else:
+                _run_queue_op(queues[op[0]], *op[1:])
+            fresh = _full_view(replay_state(Journal(third.path)))
+            for queue in queues:
+                with queue._folded() as folded:
+                    assert _full_view(folded) == fresh

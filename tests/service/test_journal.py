@@ -17,7 +17,6 @@ import pytest
 from repro.service.journal import (
     Journal,
     JournalCorruption,
-    atomic_rewrite,
     parse_line,
     record_line,
 )
@@ -73,8 +72,6 @@ def test_interrupted_append_is_dropped_as_tail(tmp_path):
         fh.write(record_line({"n": 3})[:-5])
     assert j.replay() == [{"n": 1}, {"n": 2}]
     assert j.truncated_tail
-    # appending after the damage resumes cleanly past it is NOT allowed:
-    # the tail is still damaged, so replay keeps dropping it
 
 
 def test_damaged_final_complete_line_is_tail_damage(tmp_path):
@@ -98,12 +95,37 @@ def test_mid_file_damage_raises_loudly(tmp_path):
         j.replay()
 
 
-def test_atomic_rewrite_replaces_contents(tmp_path):
+@pytest.mark.parametrize(
+    "damage",
+    [record_line({"n": 9})[:-5], b"0000000000000000 {}\n"],
+    ids=["incomplete", "bad-checksum"],
+)
+def test_appends_after_a_torn_tail_replay(tmp_path, damage):
+    """A crashed writer's torn tail is cut by the next append, so every
+    acknowledged record replays and the damage never moves mid-file."""
     j = Journal(tmp_path / "j.nwj")
-    for i in range(10):
-        j.append({"n": i})
-    atomic_rewrite(j, [{"compacted": True}])
-    assert j.replay() == [{"compacted": True}]
+    j.append_many([{"n": 1}, {"n": 2}])
+    with open(j.path, "ab") as fh:
+        fh.write(damage)
+    # a fresh writer, as after a crash, and the one that saw it happen
+    Journal(j.path).append({"a": 3})
+    j.append({"a": 4})
+    assert j.replay() == [{"n": 1}, {"n": 2}, {"a": 3}, {"a": 4}]
+    assert not j.truncated_tail
+
+
+def test_read_from_resumes_at_a_record_boundary(tmp_path):
+    j = Journal(tmp_path / "j.nwj")
+    assert j.read_from(0) == ([], 0)
+    j.append_many([{"n": 1}, {"n": 2}])
+    records, end = j.read_from(0)
+    assert records == [{"n": 1}, {"n": 2}]
+    assert end == j.path.stat().st_size
+    j.append({"n": 3})
+    with open(j.path, "ab") as fh:
+        fh.write(record_line({"n": 4})[:-1])  # no newline yet
+    assert j.read_from(end) == ([{"n": 3}], end + len(record_line({"n": 3})))
+    assert j.truncated_tail
 
 
 # ---------------------------------------------------------------- survival

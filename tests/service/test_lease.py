@@ -5,11 +5,13 @@ so lease expiry, backoff, and retry exhaustion are deterministic — no
 sleeps, no wall clocks.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.batch import ExperimentSpec, FailedSpec
+from repro.service import journal as journal_mod
 from repro.service.journal import Journal
 from repro.service.lease import (
     DONE,
@@ -36,6 +38,46 @@ def _queue(tmp_path, **kw):
     kw.setdefault("retry_budget", 3)
     kw.setdefault("backoff_base", 2.0)
     return SweepQueue(tmp_path / "sweep", **kw)
+
+
+def _state_view(state):
+    """Every field of every cell, in comparable form."""
+    view = []
+    for key in state.order:
+        d = dataclasses.asdict(state.cells[key])
+        for marks in ("done_marks", "executed_marks", "fail_marks"):
+            d[marks] = sorted(d[marks])
+        view.append(d)
+    return view
+
+
+def _mixed_history(queue):
+    """Drive a queue through every record type; return the cell keys."""
+    keys = queue.submit(
+        [_spec(), _spec(app="gauss"), _spec(app="radix"), _spec(app="fft")]
+    )
+    # cell 0: done after one clean run
+    k, _, attempt = queue.claim("w1", now=100.0)
+    assert k == keys[0]
+    queue.renew(k, "w1", now=101.0)
+    queue.complete(k, "w1", attempt, executed=True)
+    # cell 1: one failed attempt, then leased again (live lease)
+    k, _, attempt = queue.claim("w2", now=102.0)
+    assert k == keys[1]
+    queue.fail(k, "w2", attempt, "boom", now=103.0)
+    # long lease so this claim is still live at every later timestamp
+    k2, _, _ = queue.claim("w2", now=1000.0, lease_duration=1e9)
+    assert k2 == keys[1]
+    # cell 2: terminal failure (budget exhausted)
+    for round_no in range(queue.retry_budget):
+        now = 2000.0 + 500.0 * round_no
+        k, _, attempt = queue.claim("w3", now=now)
+        assert k == keys[2]
+        queue.fail(
+            k, "w3", attempt, f"crash {round_no}", now=now + 1.0, kind="crash"
+        )
+    # cell 3 stays pending
+    return keys
 
 
 # ------------------------------------------------------------ spec crossing
@@ -254,3 +296,86 @@ def test_queue_validates_construction(tmp_path):
         SweepQueue(tmp_path / "s", lease_duration=0)
     with pytest.raises(ValueError, match="retry_budget"):
         SweepQueue(tmp_path / "s", retry_budget=0)
+
+
+# --------------------------------------------------------- incremental fold
+def test_reopened_queue_continues_a_mixed_history(tmp_path):
+    """A queue opened on a busy journal folds it to the writer's state
+    and makes the decisions the writer would have made."""
+    writer = _queue(tmp_path)
+    keys = _mixed_history(writer)
+    queue = _queue(tmp_path)
+    # done stays done even if a duplicate completion arrives
+    queue.complete(keys[0], "w9", 7, executed=False)
+    # the live lease on cell 1 still belongs to w2 and cell 2 is
+    # terminal, so the only claimable cell is cell 3
+    k, spec, attempt = queue.claim("w4", now=5000.0)
+    assert (k, spec.app, attempt) == (keys[3], "fft", 1)
+    state = queue.state()
+    assert [state.cells[k].status for k in keys] == [
+        DONE, LEASED, FAILED, LEASED,
+    ]
+    assert state.cells[keys[1]].worker == "w2"
+    assert "crash" in state.cells[keys[2]].last_error
+    assert state.cells[keys[2]].to_failed_spec().kind == "crash"
+    assert state.cells[keys[2]].attempts == queue.retry_budget
+    # the writer's fold catches up on the other queue's records
+    with writer._folded() as folded:
+        assert _state_view(folded) == _state_view(state)
+
+
+def test_queue_operations_parse_each_record_a_bounded_number_of_times(
+    tmp_path, monkeypatch
+):
+    """Queue work is linear in the journal: submitting 200 cells and
+    claiming and completing each parses at most two lines per record
+    (a whole-journal replay per claim would parse ~100 per record)."""
+    parsed = []
+    parse_line = journal_mod.parse_line
+
+    def counting_parse_line(line):
+        parsed.append(line)
+        return parse_line(line)
+
+    monkeypatch.setattr(journal_mod, "parse_line", counting_parse_line)
+    q = _queue(tmp_path)
+    q.submit([_spec(app_params={"cell": i}) for i in range(200)])
+    for i in range(200):
+        key, _, attempt = q.claim("w1", now=float(i))
+        q.complete(key, "w1", attempt, executed=True)
+    records = q.journal.path.read_bytes().count(b"\n")
+    assert records == 600  # submit + lease + done per cell
+    assert len(parsed) <= 2 * records
+
+
+def test_unbuildable_spec_fails_alone(tmp_path):
+    """A journaled spec this version cannot build (here: a field an
+    older version had) fails its own cell; the rest of the sweep runs."""
+    from repro.service.worker import Worker
+
+    q = _queue(tmp_path)
+    old = dict(spec_to_dict(_spec(app="fft")), compiled_traces=True)
+    q.journal.append({"type": "submit", "key": "old-cell", "spec": old})
+    (good,) = q.submit([_spec()])
+    stats = Worker(q, cache=False, worker_id="w1", jobs=1).run()
+    assert stats.executed == 1
+    state = q.state()
+    assert state.settled
+    assert state.cells[good].status == DONE
+    assert state.cells["old-cell"].status == FAILED
+    (failed,) = q.failed_specs()
+    assert failed.kind == "error" and failed.attempts == 1
+    assert "compiled_traces" in failed.error
+    assert failed.spec.app == "fft"
+
+
+def test_compacted_journal_is_refused(tmp_path):
+    """A ``snapshot`` record (older versions' compaction) stood for a
+    whole cell; replaying past it would silently drop that cell."""
+    q = _queue(tmp_path)
+    q.submit([_spec()])
+    q.journal.append({"type": "snapshot", "key": "k", "spec": {}})
+    with pytest.raises(ValueError, match="'snapshot' record"):
+        q.state()
+    with pytest.raises(ValueError, match="'snapshot' record"):
+        q.claim("w1", now=0.0)
